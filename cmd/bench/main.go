@@ -245,7 +245,8 @@ func engineBenches() []benchfmt.Result {
 // replica axis is isolated from raw compute: replicas shard the stream
 // round-robin and split the same budget. Free-running async replicas under
 // the "none" and "avg-every-64" policies measure the throughput path;
-// sync-grad (stepped, barrier per update) measures the coordination cost.
+// sync-grad (deterministic engine, barrier per update) measures the
+// coordination cost.
 func clusterBenches() []benchfmt.Result {
 	var out []benchfmt.Result
 	budget := runtime.GOMAXPROCS(0)

@@ -2,7 +2,10 @@
 // utilization analysis (Fig. 2, Eq. 1) for arbitrary pipeline depths and
 // batch sizes, with optional schedule diagrams. With -measure it trains a
 // real pipeline on every engine (seq, lockstep, async) and reports measured
-// throughput and utilization instead of the analytic bounds.
+// throughput and utilization instead of the analytic bounds: seq's
+// utilization counts full worker-steps, while lockstep and async (the two
+// modes of the concurrent engine) report measured busy time on the
+// available cores.
 //
 // Usage:
 //

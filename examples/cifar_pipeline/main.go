@@ -12,9 +12,9 @@
 // gradients; the combined mitigation recovers most of it with no tuning.
 //
 // The -engine flag selects the PB runtime: the sequential reference (seq),
-// the barrier-parallel engine (lockstep), or the free-running asynchronous
-// engine (async) in which every stage races ahead over bounded queues while
-// staleness stays capped at D_s = 2(S−1−s) per stage.
+// the concurrent engine as a deterministic systolic array (lockstep), or the
+// same engine free-running (async), where every stage races ahead over
+// bounded queues while staleness stays capped at D_s = 2(S−1−s) per stage.
 //
 // Run with: go run ./examples/cifar_pipeline [-engine async]
 package main

@@ -7,7 +7,7 @@ import (
 
 // GoroutineBudget pins the set of files allowed to spawn goroutines. The
 // repo's concurrency is deliberately concentrated: the tensor.Parallel
-// kernel worker group, the engine run loops (lockstep and async), and the
+// kernel worker group, the async engine's stage loops (both modes), and the
 // cluster's per-replica round dispatch. Every other `go` statement is a new
 // unaudited concurrency surface — new goroutines must either live in one of
 // the approved files or carry a per-site //lint:allow(goroutinebudget)
@@ -22,7 +22,6 @@ var GoroutineBudget = &Analyzer{
 // file base name.
 var goroutineFiles = map[[2]string]bool{
 	{"internal/tensor", "parallel.go"}: true, // kernel worker group
-	{"internal/core", "parallel.go"}:   true, // lockstep engine workers
 	{"internal/core", "async.go"}:      true, // async engine stage loops
 	{"internal/core", "cluster.go"}:    true, // per-replica round dispatch
 	{"internal/core", "infer.go"}:      true, // inference pipeline stage loops

@@ -252,7 +252,7 @@ func TestVersion1StillRestores(t *testing.T) {
 }
 
 // TestPipelineCheckpointAcrossEngines exercises PipelineTrainer on the
-// concurrent engines: the lockstep (parallel) engine resumes exactly, and a
+// concurrent engines: the lockstep engine resumes exactly, and a
 // drained free-running async engine's state can be captured and restored
 // into a sequential trainer (cross-engine resume; the async trajectory
 // itself is nondeterministic, so equality is asserted on the restored state,
@@ -276,7 +276,7 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 
 	// Lockstep engine: exact resume.
 	netB := models.DeepMLP(6, 8, 3, 3, seed)
-	trB := core.NewParallelPBTrainer(netB, cfg)
+	trB := newLockstep(t, netB, cfg)
 	defer trB.Close()
 	feed(trB, 0, train.Len()/2)
 	st, err := CapturePipeline(netB, trB, nil)
@@ -284,7 +284,7 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	netC := models.DeepMLP(6, 8, 3, 3, seed+9)
-	trC := core.NewParallelPBTrainer(netC, cfg)
+	trC := newLockstep(t, netC, cfg)
 	defer trC.Close()
 	if err := RestorePipeline(st, netC, trC); err != nil {
 		t.Fatal(err)
@@ -326,25 +326,118 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 	feed(trS, train.Len()/2, train.Len()) // resumed trainer keeps training
 }
 
-// TestAsyncLockstepRefusesRestore: the async engine's lockstep mode derives
-// its LR schedule from per-worker round counters that a checkpoint cannot
-// capture, so RestorePipeline must fail loudly instead of silently resuming
-// at the wrong schedule position.
-func TestAsyncLockstepRefusesRestore(t *testing.T) {
-	seed := int64(13)
-	net := models.DeepMLP(6, 8, 2, 3, seed)
-	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
-	tr := core.NewAsyncPBTrainer(net, cfg, core.ModeLockstep)
-	defer tr.Close()
-	st, err := CapturePipeline(net, tr, nil)
+// newLockstep builds the registry's "lockstep" engine as a PipelineTrainer.
+func newLockstep(t *testing.T, net *nn.Network, cfg core.Config) interface {
+	PipelineTrainer
+	Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*core.Result, error)
+	Drain(ctx context.Context) ([]*core.Result, error)
+	Close()
+} {
+	t.Helper()
+	e, err := core.NewEngine("lockstep", net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net2 := models.DeepMLP(6, 8, 2, 3, seed)
-	tr2 := core.NewAsyncPBTrainer(net2, cfg, core.ModeLockstep)
-	defer tr2.Close()
-	if err := RestorePipeline(st, net2, tr2); err == nil {
-		t.Fatal("expected lockstep-mode restore to be refused")
+	tr, ok := e.(*core.AsyncPBTrainer)
+	if !ok {
+		t.Fatalf("lockstep engine is %T, want *core.AsyncPBTrainer", e)
+	}
+	return tr
+}
+
+// TestLockstepResumeMatchesUninterrupted is the exact mid-run resume of the
+// concurrent deterministic engine: capture a drained "lockstep" run, restore
+// it into a fresh engine through the wire format and continue under a step
+// LR schedule whose milestone falls after the restore point. The schedule
+// position rides in the systolic tokens, so the resumed run must equal the
+// uninterrupted one — weights and per-sample results — and both must equal
+// the sequential reference.
+func TestLockstepResumeMatchesUninterrupted(t *testing.T) {
+	seed := int64(13)
+	train, _ := data.GaussianBlobs(6, 3, 64, 0, 1, 0.5, seed)
+	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
+	cfg.Mitigation = core.LWPwDSCD // velocities AND prev-weights per stage
+	// The capture point is step 37 (32 samples plus the 2S−1 drain steps)
+	// and the run ends at step 74: one milestone on each side.
+	cfg.Schedule = sched.MultiStep{Base: cfg.LR, Milestones: []int{20, 50}, Gamma: 0.5}
+	half := train.Len() / 2
+	type engine interface {
+		Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*core.Result, error)
+		Drain(ctx context.Context) ([]*core.Result, error)
+	}
+	feed := func(tr engine, lo, hi int) []*core.Result {
+		var rs []*core.Result
+		for i := lo; i < hi; i++ {
+			x, y := train.Sample(i)
+			r, err := tr.Submit(context.Background(), x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = append(rs, r...)
+		}
+		r, err := tr.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(rs, r...)
+	}
+
+	// Uninterrupted arms: the sequential reference and the lockstep engine,
+	// drained at the capture point and kept in memory.
+	netS := models.DeepMLP(6, 8, 3, 3, seed)
+	trS := core.NewPBTrainer(netS, cfg)
+	feed(trS, 0, half)
+	netA := models.DeepMLP(6, 8, 3, 3, seed)
+	trA := newLockstep(t, netA, cfg)
+	defer trA.Close()
+	feed(trA, 0, half)
+	st, err := CapturePipeline(netA, trA, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Resumed arm: fresh engine, different init (overwritten by restore).
+	netB := models.DeepMLP(6, 8, 3, 3, seed+50)
+	trB := newLockstep(t, netB, cfg)
+	defer trB.Close()
+	if err := RestorePipeline(st2, netB, trB); err != nil {
+		t.Fatal(err)
+	}
+	if trB.UpdateStep() != trA.UpdateStep() {
+		t.Fatalf("restored schedule position %d, captured %d", trB.UpdateStep(), trA.UpdateStep())
+	}
+
+	resS := feed(trS, half, train.Len())
+	resA := feed(trA, half, train.Len())
+	resB := feed(trB, half, train.Len())
+	for _, arm := range []struct {
+		name string
+		net  *nn.Network
+		res  []*core.Result
+	}{{"uninterrupted lockstep", netA, resA}, {"resumed lockstep", netB, resB}} {
+		ps, pa := netS.Params(), arm.net.Params()
+		for i := range ps {
+			if !ps[i].W.AllClose(pa[i].W, 0) {
+				t.Fatalf("%s deviates from seq at %s", arm.name, ps[i].Name)
+			}
+		}
+		if len(arm.res) != len(resS) {
+			t.Fatalf("%s: %d results, seq %d", arm.name, len(arm.res), len(resS))
+		}
+		// IDs restart in a restored engine; losses and flags must not.
+		for i := range resS {
+			if arm.res[i].Loss != resS[i].Loss || arm.res[i].Correct != resS[i].Correct {
+				t.Fatalf("%s: result %d is %+v, seq %+v", arm.name, i, *arm.res[i], *resS[i])
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,8 +28,9 @@ const (
 	// pipeline round each stage exchanges exactly one (possibly empty)
 	// forward and backward token with its neighbors, which reproduces the
 	// sequential PBTrainer's GProp schedule deterministically — the weight
-	// trajectory is bit-identical to PBTrainer. Tests use this mode to prove
-	// the concurrent engine computes the same thing.
+	// trajectory is bit-identical to PBTrainer. Registered as both
+	// "lockstep" and "async-lockstep"; the cluster's sync-grad policy and
+	// exact checkpoint resume run on it.
 	ModeLockstep
 )
 
@@ -53,7 +53,7 @@ type asyncStage struct {
 	// Bounded: its capacity plus the context-FIFO cap is the only buffering
 	// between neighbors, so memory stays bounded no matter how fast
 	// upstream runs.
-	fwdIn chan *inflight
+	fwdIn chan fwdToken
 	// bwdIn carries gradients from stage i+1. Sized so sends never block
 	// (at most delay+1 gradients can be outstanding toward this stage),
 	// which makes the backward path wait-free and the pipeline
@@ -63,6 +63,17 @@ type asyncStage struct {
 	// busyNs accumulates time spent inside Forward/Backward/update, for the
 	// measured utilization.
 	busyNs int64
+}
+
+// fwdToken is one hop on a forward channel: the sample (nil for an empty
+// systolic round) and, in ModeLockstep, the driver step that issued the
+// round. Stage i runs a token issued at step p as PBTrainer's pipeline step
+// p+i, so the schedule position travels with the data instead of living in
+// per-worker counters — which is what lets a restored engine resume its LR
+// schedule exactly. Sent by value: no per-hop allocation.
+type fwdToken struct {
+	in   *inflight
+	step int
 }
 
 // emitObs publishes the stage's cumulative busy time and current forward
@@ -76,12 +87,12 @@ func (st *asyncStage) emitObs() {
 	st.obs.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: st.idx, Count: int64(len(st.fwdIn))})
 }
 
-// AsyncPBTrainer is the free-running concurrent engine for fine-grained
-// pipelined backpropagation. Unlike ParallelPBTrainer there is no global
-// per-step barrier: each stage goroutine owns its parameters, optimizer and
-// context FIFO outright and exchanges activations and gradients with its
-// neighbors through bounded channels, so a fast stage never waits for a slow
-// stage it doesn't border and multiple samples are in flight per stage.
+// AsyncPBTrainer is the repo's concurrent engine for fine-grained pipelined
+// backpropagation. There is no global per-step barrier: each stage goroutine
+// owns its parameters, optimizer and context FIFO outright and exchanges
+// activations and gradients with its neighbors through bounded channels, so
+// a fast stage never waits for a slow stage it doesn't border and multiple
+// samples are in flight per stage.
 //
 // Staleness stays bounded without any global coordination: stage s accepts a
 // new forward only while its context FIFO holds at most D_s = 2(S−1−s)
@@ -134,12 +145,12 @@ type AsyncPBTrainer struct {
 	// back under Cfg.AdmitBound before admitting (bounded-staleness
 	// admission; free mode only).
 	admitDeferred int
-	// step and lastPush drive the deterministic drain in lockstep mode:
+	// step and lastPush drive the deterministic schedule in lockstep mode:
 	// step counts tokens issued to stage 0 (≡ PBTrainer pipeline steps) and
-	// lastPush is the step of the most recent real sample. A sample pushed
-	// at step p completes at step p+2(S−1), so Drain issues empty tokens up
-	// to exactly that round — the same number of steps PBTrainer.Drain
-	// executes.
+	// rides in each token (fwdToken); lastPush is the step of the most
+	// recent real sample. A sample pushed at step p completes at step
+	// p+2(S−1), so Drain issues empty tokens up to exactly that round — the
+	// same number of steps PBTrainer.Drain executes.
 	step     int
 	lastPush int
 	// Wall-clock accounting for measured utilization: the clock runs from
@@ -175,14 +186,14 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config, mode AsyncMode) *AsyncPBTrai
 			// empty tokens so stage i's round r pairs with stage i+1's
 			// round r−2 gradient — exactly the one PBTrainer consumes at
 			// the same pipeline step.
-			as.fwdIn = make(chan *inflight, 2)
+			as.fwdIn = make(chan fwdToken, 2)
 			if i < s-1 {
 				as.bwdIn = make(chan *nn.Packet, 4)
 				as.bwdIn <- nil
 				as.bwdIn <- nil
 			}
 		} else {
-			as.fwdIn = make(chan *inflight, 1)
+			as.fwdIn = make(chan fwdToken, 1)
 			if i < s-1 {
 				// delay+2 ≥ max outstanding gradients toward this stage, so
 				// backward sends are wait-free (deadlock freedom).
@@ -234,10 +245,9 @@ func (t *AsyncPBTrainer) ObservedDelays() []int {
 // StageOptimizer exposes stage i's optimizer so the async engine satisfies
 // checkpoint.PipelineTrainer. Like ObservedDelays, the stage accessors are
 // only valid with the pipeline quiesced (after Drain or Close). Resume is
-// exact for ModeFree, whose LR schedule is driven entirely by the per-stage
-// update counters that RestorePipeline restores; a ModeLockstep engine
-// should be resumed as "seq" or "lockstep" instead (its per-worker round
-// counters restart at zero and are not checkpointed).
+// exact in both modes: ModeFree schedules its LR by the per-stage update
+// counters RestorePipeline restores, ModeLockstep by the step counter
+// SetUpdateStep restores (it rides in every systolic token).
 func (t *AsyncPBTrainer) StageOptimizer(i int) *optim.Momentum { return t.stages[i].opt }
 
 // StageParams exposes stage i's parameters (for checkpointing).
@@ -266,24 +276,13 @@ func (t *AsyncPBTrainer) UpdateStep() int {
 	return t.stages[0].updates
 }
 
-// SetUpdateStep aligns the lockstep-mode drain accounting with a restored
-// schedule position; ModeFree ignores the global step entirely (its LR
-// schedule runs off the per-stage counters).
+// SetUpdateStep restores the lockstep-mode schedule position on a quiesced
+// engine: the next token carries it, so the LR schedule continues exactly.
+// ModeFree ignores the global step entirely (its LR schedule runs off the
+// per-stage counters).
 func (t *AsyncPBTrainer) SetUpdateStep(step int) {
 	t.step = step
 	t.lastPush = step
-}
-
-// CheckResume implements checkpoint.ResumeChecker: ModeFree resumes exactly
-// (its LR schedule is driven by the restored per-stage update counters);
-// ModeLockstep cannot, because its workers schedule by round counters that
-// restart at zero and are not captured — resume that trajectory with the
-// "seq" or "lockstep" engine instead.
-func (t *AsyncPBTrainer) CheckResume() error {
-	if t.Mode == ModeLockstep {
-		return errors.New("core: async lockstep mode cannot restore a checkpoint (round counters restart); resume with the seq or lockstep engine")
-	}
-	return nil
 }
 
 // Outstanding returns the number of samples in the pipeline as seen by the
@@ -372,7 +371,7 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 	t.submitted++
 	for {
 		select {
-		case t.stages[0].fwdIn <- in:
+		case t.stages[0].fwdIn <- fwdToken{in: in, step: t.step}:
 			if t.Mode == ModeLockstep {
 				t.lastPush = t.step
 				t.step++
@@ -422,12 +421,12 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	if t.Mode == ModeLockstep && t.submitted > 0 {
 		// Rounds are only owed for real samples: a Drain before the first
 		// Submit must issue none, exactly like PBTrainer.Drain on an empty
-		// pipeline, or the round counter (and any LR schedule) would run
-		// ahead of the sequential engine's step counter.
+		// pipeline, or the step counter (and any LR schedule) would run
+		// ahead of the sequential engine's.
 		need := t.lastPush + 2*len(t.stages) - 1
 		for t.step < need {
 			select {
-			case t.stages[0].fwdIn <- nil:
+			case t.stages[0].fwdIn <- fwdToken{step: t.step}:
 				t.step++
 			case r := <-t.resCh:
 				rs = append(rs, r)
@@ -601,8 +600,8 @@ func (t *AsyncPBTrainer) workerFree(i int) {
 				if !t.freeBackward(i, g) {
 					return
 				}
-			case in := <-st.fwdIn:
-				if !t.freeForward(i, in) {
+			case tok := <-st.fwdIn:
+				if !t.freeForward(i, tok.in) {
 					return
 				}
 			case <-t.stop:
@@ -612,8 +611,8 @@ func (t *AsyncPBTrainer) workerFree(i int) {
 		}
 		// Last stage: forward, loss and backward are one atom (D_{S−1}=0).
 		select {
-		case in := <-st.fwdIn:
-			if !t.freeForward(i, in) {
+		case tok := <-st.fwdIn:
+			if !t.freeForward(i, tok.in) {
 				return
 			}
 		case <-t.stop:
@@ -639,7 +638,7 @@ func (t *AsyncPBTrainer) freeForward(i int, in *inflight) bool {
 		st.emitObs()
 		in.packet = out // reuse the inflight wrapper for the next hop
 		select {
-		case t.stages[i+1].fwdIn <- in:
+		case t.stages[i+1].fwdIn <- fwdToken{in: in}:
 			return true
 		case <-t.stop:
 			return false
@@ -694,21 +693,22 @@ func (t *AsyncPBTrainer) freeBackward(i int, g *nn.Packet) bool {
 
 // workerLock is the systolic per-stage loop: each round receives one forward
 // and one backward token (possibly empty), computes, and emits one token to
-// each neighbor. Stage i's round r corresponds exactly to PBTrainer's
-// pipeline step r+i, making the schedule — and the weight trajectory —
-// bit-identical to the sequential engine.
+// each neighbor. A round whose forward token was issued at driver step p is
+// PBTrainer's pipeline step p+i at stage i, making the schedule — and the
+// weight trajectory — bit-identical to the sequential engine.
 func (t *AsyncPBTrainer) workerLock(i int) {
 	defer t.wg.Done()
 	st := t.stages[i]
 	s := len(t.stages)
 	last := i == s-1
-	for round := 0; ; round++ {
-		var in *inflight
+	for {
+		var tok fwdToken
 		select {
-		case in = <-st.fwdIn:
+		case tok = <-st.fwdIn:
 		case <-t.stop:
 			return
 		}
+		in := tok.in
 		var g *nn.Packet
 		if !last {
 			select {
@@ -717,7 +717,7 @@ func (t *AsyncPBTrainer) workerLock(i int) {
 				return
 			}
 		}
-		lr := t.Cfg.lrAt(round + i)
+		lr := t.Cfg.lrAt(tok.step + i)
 		var fwdOut *inflight
 		var res *Result
 		var dx *nn.Packet
@@ -756,7 +756,7 @@ func (t *AsyncPBTrainer) workerLock(i int) {
 		}
 		if !last {
 			select {
-			case t.stages[i+1].fwdIn <- fwdOut:
+			case t.stages[i+1].fwdIn <- fwdToken{in: fwdOut, step: tok.step}:
 			case <-t.stop:
 				return
 			}

@@ -16,7 +16,8 @@ import (
 // sequential PBTrainer's weight trajectory bit-for-bit, for every
 // mitigation, including a step LR schedule (which exercises the round↔step
 // alignment of the drain protocol). Weights are compared at a mid-epoch
-// drain point and again at the end.
+// drain point and again at the end, and the measured per-stage staleness
+// must hit exactly the analytic D_s, as on the sequential engine.
 func TestAsyncLockstepMatchesSequential(t *testing.T) {
 	for _, mit := range []Mitigation{None, SCD, LWPvD, LWPwD, LWPvDSCD, WeightStash, SpecTrain, {GradShrink: 0.9}} {
 		seed := int64(90)
@@ -64,11 +65,11 @@ func TestAsyncLockstepMatchesSequential(t *testing.T) {
 		feed(train.Len()/2, train.Len())
 		compare("final drain")
 
-		wantD, gotD := asy.Delays(), asy.ObservedDelays()
+		wantD, seqD, gotD := asy.Delays(), seq.ObservedDelays(), asy.ObservedDelays()
 		for i := range wantD {
-			if gotD[i] > wantD[i] {
-				t.Fatalf("%s: lockstep stage %d observed staleness %d > D_s %d",
-					mit.Name(), i, gotD[i], wantD[i])
+			if gotD[i] != wantD[i] || seqD[i] != wantD[i] {
+				t.Fatalf("%s: stage %d observed staleness %d (lockstep) / %d (seq), want D_s %d",
+					mit.Name(), i, gotD[i], seqD[i], wantD[i])
 			}
 		}
 		asy.Close()
@@ -338,8 +339,8 @@ func TestAsyncLockstepDrainBeforeSubmit(t *testing.T) {
 	defer asy.Close()
 
 	drain(seq)
-	if rs := drain(asy); len(rs) != 0 {
-		t.Fatalf("pre-feed drain returned %d results", len(rs))
+	if rs := drain(asy); len(rs) != 0 || asy.Outstanding() != 0 {
+		t.Fatalf("pre-feed drain returned %d results, %d outstanding", len(rs), asy.Outstanding())
 	}
 	for i := 0; i < train.Len(); i++ {
 		x, y := train.Sample(i)

@@ -74,7 +74,7 @@ func BenchmarkSGDBatch(b *testing.B) {
 // benchEngine streams b.N samples through the named PB engine on the
 // 31-stage RN20-mini pipeline and reports training throughput and the
 // engine's utilization measure (DESIGN.md §4 / engine table). The async
-// engine must beat the barrier engines on samples/sec while keeping its
+// engine must beat the deterministic engines on samples/sec while keeping its
 // observed staleness within D_s per stage. busIdle attaches a metrics bus
 // with no subscribers — the emit fast path (nil check + one atomic load) —
 // so the _BusIdle rows pin the bus-enabled-but-unwatched overhead at ~zero

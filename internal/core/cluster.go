@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	stdsync "sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/nn"
@@ -30,10 +31,10 @@ import (
 //     routes all samples to the one replica, never quiesces mid-stream, and
 //     releases results in completion order, so Cluster(R=1) is bit-identical
 //     to the bare engine (TestClusterR1MatchesEngine).
-//   - sync-grad: replicas run in lockstep rounds over a shared permutation and
-//     every stage update applies the replica-index-ordered mean gradient, so
-//     the weight trajectory is engine-order-deterministic at any R
-//     (TestSyncGradDeterministic).
+//   - sync-grad: replicas take one sample each per round over a shared
+//     permutation and every stage update applies the replica-index-ordered
+//     mean gradient, so the weight trajectory is deterministic at any R on
+//     any deterministic engine (TestSyncGradDeterministic).
 
 // replicaView is what the cluster needs from each inner engine beyond the
 // Engine interface: stage-indexed parameter/optimizer access for the sync
@@ -46,24 +47,13 @@ type replicaView interface {
 	SetStageUpdates(i, updates int)
 }
 
-// steppedEngine is the drive surface the sync-grad policy needs: explicit
-// Push/Step control so the cluster can run all replicas through the same
-// pipeline round concurrently, with the gradient-reduction barrier pairing
-// their same-numbered stage updates. PBTrainer and ParallelPBTrainer qualify;
-// the free-running async engine does not (it has no global step).
-type steppedEngine interface {
-	Push(x *tensor.Tensor, label int)
-	Step() *Result
-	Outstanding() int
-}
-
 // ClusterConfig configures NewCluster beyond the shared training Config.
 type ClusterConfig struct {
 	// Replicas is R. 0 means len(nets).
 	Replicas int
 	// Engine names the inner engine built per replica (NewEngine registry;
-	// "" = "seq"). Policies with GradReduce need a stepped engine
-	// ("seq" or "lockstep").
+	// "" = "seq"). Policies with GradReduce need a deterministic engine at
+	// R > 1: seq, lockstep or async-lockstep.
 	Engine string
 	// Policy coordinates replica weights; nil means sync.None.
 	Policy syncpol.Policy
@@ -119,7 +109,6 @@ type Cluster struct {
 
 	// sync-grad drive state (nil/unused for other policies).
 	reducer  *gradReducer
-	stepped  []steppedEngine
 	roundBuf []pendingSample
 
 	// obs is the cluster's driver-side producer for Config.Obs. The cluster
@@ -214,11 +203,12 @@ func (c *Cluster) buildReplica(net *nn.Network, workers int) (replicaView, error
 // installReducer (re)builds the sync-grad gradient-reduction harness for the
 // current replica set, or tears it down when the policy doesn't reduce or a
 // single replica remains. With one replica the mean gradient is the gradient
-// itself, so the harness (and its stepped-engine requirement) only engages at
-// R > 1 — Cluster(R=1) stays a transparent wrapper for every engine under
-// every policy. The barrier bookkeeping resumes from the engines' per-stage
-// update counters, which are aligned whenever this runs (fresh construction,
-// or a membership change on a drained-and-synced cluster).
+// itself, so the harness (and its deterministic-engine requirement) only
+// engages at R > 1 — Cluster(R=1) stays a transparent wrapper for every
+// engine under every policy. The barrier bookkeeping resumes from the
+// engines' per-stage update counters, which are aligned whenever this runs
+// (fresh construction, or a membership change on a drained-and-synced
+// cluster).
 func (c *Cluster) installReducer() error {
 	for _, e := range c.engines {
 		for _, ss := range engineStages(e) {
@@ -226,17 +216,14 @@ func (c *Cluster) installReducer() error {
 		}
 	}
 	c.reducer = nil
-	c.stepped = nil
 	if !c.policy.GradReduce() || len(c.engines) < 2 {
 		return nil
 	}
 	for _, e := range c.engines {
-		se, ok := e.(steppedEngine)
-		if !ok {
-			return fmt.Errorf("core: policy %q averages per-update gradients and needs a stepped engine (seq|lockstep), not %q",
+		if engineStages(e) == nil {
+			return fmt.Errorf("core: policy %q averages per-update gradients and needs a deterministic engine (seq, lockstep or async-lockstep), not %q",
 				c.policy.Name(), c.engineName)
 		}
-		c.stepped = append(c.stepped, se)
 	}
 	c.reducer = newGradReducer(c.engines)
 	for ri, e := range c.engines {
@@ -259,7 +246,7 @@ func (c *Cluster) realignReducerCounters() {
 		return
 	}
 	for r := range c.reducer.counts {
-		c.reducer.counts[r] = c.engines[r].StageUpdates(0)
+		c.reducer.counts[r].Store(int64(c.engines[r].StageUpdates(0)))
 	}
 	for s := range c.reducer.slots {
 		c.reducer.slots[s].done = c.engines[0].StageUpdates(s)
@@ -302,14 +289,22 @@ func validateReplicaNets(nets []*nn.Network) error {
 	return nil
 }
 
-// engineStages exposes the per-stage runtime state of a stepped engine so the
-// cluster can install the gradient-reduction hook.
+// engineStages exposes the per-stage runtime state of a deterministic engine
+// so the cluster can install the gradient-reduction hook; nil for engines
+// whose update order is not schedule-deterministic (free-running async).
 func engineStages(e Engine) []*stageState {
 	switch t := e.(type) {
 	case *PBTrainer:
 		return t.stages
-	case *ParallelPBTrainer:
-		return t.inner.stages
+	case *AsyncPBTrainer:
+		if t.Mode != ModeLockstep {
+			return nil
+		}
+		ss := make([]*stageState, len(t.stages))
+		for i, st := range t.stages {
+			ss[i] = st.stageState
+		}
+		return ss
 	}
 	return nil
 }
@@ -468,6 +463,12 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
+	if c.reducer != nil {
+		// A cancelled epoch can leave stage goroutines parked in the
+		// reduction barrier waiting on a peer that is about to stop; release
+		// them so every engine's Close can join its workers.
+		c.reducer.close()
+	}
 	for _, e := range c.engines {
 		e.Close()
 	}
@@ -522,7 +523,7 @@ func (c *Cluster) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*R
 		// available, then drive all replicas through it together.
 		c.roundBuf = append(c.roundBuf, pendingSample{x: x, label: label, replica: r})
 		if len(c.roundBuf) == len(c.engines) {
-			out = c.flushRound()
+			out = c.flushRound(false)
 		}
 	} else {
 		rs, err := c.engines[r].Submit(ctx, x, label)
@@ -576,10 +577,13 @@ func (c *Cluster) runSync() {
 // quiesce drains every replica (in replica order) and returns the released
 // results.
 func (c *Cluster) quiesce(ctx context.Context) ([]*Result, error) {
-	var out []*Result
 	if c.reducer != nil {
-		return out, c.drainRounds(ctx, &out)
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		return c.flushRound(true), nil
 	}
+	var out []*Result
 	for r, e := range c.engines {
 		rs, err := e.Drain(ctx)
 		out = append(out, c.absorb(r, rs)...)
@@ -609,78 +613,49 @@ func (c *Cluster) Drain(ctx context.Context) ([]*Result, error) {
 	return out, nil
 }
 
-// flushRound dispatches the buffered (possibly partial) round to the
-// replicas and collects its results. Counts are published to the reducer
-// before any replica steps, so the reduction barrier knows exactly which
-// replicas will contribute each update.
-func (c *Cluster) flushRound() []*Result {
-	pushes := c.roundBuf
-	c.roundBuf = c.roundBuf[:0]
-	for i := range pushes {
-		c.reducer.counts[pushes[i].replica]++
+// flushRound dispatches the buffered (possibly partial) round, one goroutine
+// per replica: each Submits its sample and, when drain is set, then Drains
+// its pipeline. The replicas must run concurrently because the reduction
+// barrier pairs their same-numbered stage updates. Counts are published to
+// the reducer before any replica starts, so the barrier knows exactly which
+// replicas will contribute each update. Submit and Drain run under a
+// non-cancellable context: a started round always completes, since a
+// replica abandoning it would strand its peers in the barrier (callers
+// check ctx between rounds). Results are absorbed in replica order, keeping
+// the release stream deterministic.
+func (c *Cluster) flushRound(drain bool) []*Result {
+	push := make([]*pendingSample, len(c.engines))
+	for i := range c.roundBuf {
+		p := &c.roundBuf[i]
+		c.reducer.counts[p.replica].Add(1)
+		push[p.replica] = p
 	}
-	return c.gradRound(pushes)
-}
-
-// gradRound advances every active replica by one pipeline step — with their
-// per-round sample pushes — concurrently, so the gradient-reduction barrier
-// can pair the replicas' same-numbered stage updates. Results are absorbed
-// in replica order, keeping the release stream deterministic.
-func (c *Cluster) gradRound(pushes []pendingSample) []*Result {
-	res := make([]*Result, len(c.engines))
+	res := make([][]*Result, len(c.engines))
 	var wg stdsync.WaitGroup
-	for r := range c.engines {
-		var push *pendingSample
-		for i := range pushes {
-			if pushes[i].replica == r {
-				push = &pushes[i]
-			}
-		}
-		if push == nil && c.stepped[r].Outstanding() == 0 {
+	for r, e := range c.engines {
+		if push[r] == nil && !drain {
 			continue
 		}
 		wg.Add(1)
-		go func(r int, push *pendingSample) {
+		go func(r int, e replicaView, p *pendingSample) {
 			defer wg.Done()
-			if push != nil {
-				c.stepped[r].Push(push.x, push.label)
+			ctx := context.Background()
+			if p != nil {
+				res[r], _ = e.Submit(ctx, p.x, p.label)
 			}
-			res[r] = c.stepped[r].Step()
-		}(r, push)
+			if drain {
+				rs, _ := e.Drain(ctx)
+				res[r] = append(res[r], rs...)
+			}
+		}(r, e, push[r])
 	}
 	wg.Wait()
+	c.roundBuf = c.roundBuf[:0]
 	var out []*Result
-	for r, re := range res {
-		if re != nil {
-			out = append(out, c.absorb(r, []*Result{re})...)
-		}
+	for r, rs := range res {
+		out = append(out, c.absorb(r, rs)...)
 	}
 	return out
-}
-
-// drainRounds flushes a partial round and then steps the active replicas
-// until every pipeline is empty, appending released results to out. The ctx
-// is checked between rounds; a started round always completes.
-func (c *Cluster) drainRounds(ctx context.Context, out *[]*Result) error {
-	if len(c.roundBuf) > 0 {
-		*out = append(*out, c.flushRound()...)
-	}
-	for {
-		active := false
-		for _, se := range c.stepped {
-			if se.Outstanding() > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
-			return nil
-		}
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		*out = append(*out, c.gradRound(nil)...)
-	}
 }
 
 // ---- checkpointing (checkpoint.ClusterTrainer) ----
@@ -733,12 +708,17 @@ func (c *Cluster) SetClusterCursor(submitted, syncs, lastSync int) {
 // identical regardless of goroutine scheduling.
 type gradReducer struct {
 	// counts[r] is the number of samples routed to replica r, published by
-	// the driver before each round (happens-before via goroutine dispatch).
-	// A replica contributes update u at a stage iff counts[r] > u.
-	counts []int
+	// the driver before each round. Atomic because stage goroutines of the
+	// concurrent engine still read them while the driver publishes later
+	// rounds. Counts only grow between realigns, and round u's counts are
+	// published before any replica's u-th sample exists, so a replica
+	// contributes update u at a stage iff counts[r] > u — stably.
+	counts []atomic.Int64
 	// params[s][r] are replica r's stage-s parameters (fixed at setup).
 	params [][][]*nn.Param
 	slots  []reduceSlot
+	// closed releases every barrier wait (Cluster.Close).
+	closed atomic.Bool
 }
 
 // reduceSlot is one stage's barrier state.
@@ -753,7 +733,7 @@ type reduceSlot struct {
 func newGradReducer(engines []replicaView) *gradReducer {
 	s := engines[0].NumStages()
 	rd := &gradReducer{
-		counts: make([]int, len(engines)),
+		counts: make([]atomic.Int64, len(engines)),
 		params: make([][][]*nn.Param, s),
 		slots:  make([]reduceSlot, s),
 	}
@@ -779,26 +759,42 @@ func (rd *gradReducer) hook(r int) func(stage int, params []*nn.Param) {
 // index behind its (broadcast-aligned) peers and the barrier bookkeeping
 // would diverge from the counters (TestSyncGradSecondEpochAfterOddTail).
 func (rd *gradReducer) realign() {
-	max := 0
-	for _, cnt := range rd.counts {
-		if cnt > max {
+	var max int64
+	for r := range rd.counts {
+		if cnt := rd.counts[r].Load(); cnt > max {
 			max = cnt
 		}
 	}
 	for r := range rd.counts {
-		rd.counts[r] = max
+		rd.counts[r].Store(max)
 	}
 }
+
+// owns reports whether replica r contributes update u (owns a u-th sample).
+func (rd *gradReducer) owns(r, u int) bool { return rd.counts[r].Load() > int64(u) }
 
 // expected counts the replicas that own a u-th sample.
 func (rd *gradReducer) expected(u int) int {
 	n := 0
-	for _, cnt := range rd.counts {
-		if cnt > u {
+	for r := range rd.counts {
+		if rd.owns(r, u) {
 			n++
 		}
 	}
 	return n
+}
+
+// close releases every stage parked in a barrier and makes later arrivals
+// return at once. The engines are being torn down, so the skipped averaging
+// no longer matters.
+func (rd *gradReducer) close() {
+	rd.closed.Store(true)
+	for s := range rd.slots {
+		sl := &rd.slots[s]
+		sl.mu.Lock()
+		sl.cond.Broadcast()
+		sl.mu.Unlock()
+	}
 }
 
 // reduce is the barrier body: called by replica r's stage goroutine between
@@ -806,6 +802,10 @@ func (rd *gradReducer) expected(u int) int {
 func (rd *gradReducer) reduce(r, stage int) {
 	sl := &rd.slots[stage]
 	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if rd.closed.Load() {
+		return
+	}
 	u := sl.done
 	sl.arrived++
 	if sl.arrived == rd.expected(u) {
@@ -813,12 +813,11 @@ func (rd *gradReducer) reduce(r, stage int) {
 		sl.arrived = 0
 		sl.done++
 		sl.cond.Broadcast()
-	} else {
-		for sl.done == u {
-			sl.cond.Wait()
-		}
+		return
 	}
-	sl.mu.Unlock()
+	for sl.done == u && !rd.closed.Load() {
+		sl.cond.Wait()
+	}
 }
 
 // average replaces each contributing replica's stage gradients with the mean
@@ -829,8 +828,8 @@ func (rd *gradReducer) reduce(r, stage int) {
 func (rd *gradReducer) average(stage, u int) {
 	first := -1
 	n := 0
-	for r, cnt := range rd.counts {
-		if cnt > u {
+	for r := range rd.counts {
+		if rd.owns(r, u) {
 			n++
 			if first < 0 {
 				first = r
@@ -845,7 +844,7 @@ func (rd *gradReducer) average(stage, u int) {
 	for j := range base {
 		dst := base[j].G.Data
 		for r := first + 1; r < len(rd.counts); r++ {
-			if rd.counts[r] > u {
+			if rd.owns(r, u) {
 				g := rd.params[stage][r][j].G.Data
 				for i := range dst {
 					dst[i] += g[i]
@@ -856,7 +855,7 @@ func (rd *gradReducer) average(stage, u int) {
 			dst[i] *= inv
 		}
 		for r := first + 1; r < len(rd.counts); r++ {
-			if rd.counts[r] > u {
+			if rd.owns(r, u) {
 				copy(rd.params[stage][r][j].G.Data, dst)
 			}
 		}

@@ -139,35 +139,46 @@ func runSyncGrad(t *testing.T, engine string, r int, train *data.Dataset, perm [
 	return nets, feedEpoch(cl, train, perm, false)
 }
 
-// TestSyncGradDeterministic pins the sync-grad trajectory: R=2 over a shared
-// permutation is identical run to run (the reduction sums in replica-index
-// order regardless of goroutine scheduling), identical between the seq and
-// lockstep inner engines, and leaves every replica bit-identical after the
-// drain broadcast. The sample count is odd on purpose, exercising the
-// partial final round.
+// TestSyncGradDeterministic pins the sync-grad trajectory: over a shared
+// permutation it is identical run to run (the reduction sums in
+// replica-index order regardless of goroutine scheduling) and identical
+// between seq and both names of the concurrent deterministic engine, and the
+// drain broadcast leaves every replica bit-identical. The table covers
+// R ∈ {2,3,4} over sample counts whose final round is partial for some R
+// (tails of 1 and 2 samples) and full for others (48 divides every R).
 func TestSyncGradDeterministic(t *testing.T) {
-	train, _ := data.GaussianBlobs(8, 4, 45, 0, 2.5, 1.0, 13)
-	perm := rand.New(rand.NewSource(9)).Perm(train.Len())
-
-	netsA, resA := runSyncGrad(t, "seq", 2, train, perm, LWPvDSCD)
-	netsB, resB := runSyncGrad(t, "seq", 2, train, perm, LWPvDSCD)
-	weightsEqual(t, "run-to-run", netsA[0], netsB[0])
-	resultsEqual(t, "run-to-run", resA, resB)
-
-	netsC, resC := runSyncGrad(t, "lockstep", 2, train, perm, LWPvDSCD)
-	weightsEqual(t, "seq-vs-lockstep", netsA[0], netsC[0])
-	resultsEqual(t, "seq-vs-lockstep", resA, resC)
-
-	// Drain broadcast: replicas end bit-identical even with the odd tail.
-	weightsEqual(t, "replica0-vs-replica1", netsA[0], netsA[1])
-
-	// Every submitted sample came back exactly once, in global order.
-	if len(resA) != train.Len() {
-		t.Fatalf("released %d results, want %d", len(resA), train.Len())
-	}
-	for i, r := range resA {
-		if r.ID != i {
-			t.Fatalf("result %d has ID %d, want %d (global-order release)", i, r.ID, i)
+	for _, r := range []int{2, 3, 4} {
+		for _, n := range []int{45, 46, 48, 121} {
+			train, _ := data.GaussianBlobs(8, 4, n, 0, 2.5, 1.0, 13)
+			perm := rand.New(rand.NewSource(9)).Perm(train.Len())
+			netsRef, resRef := runSyncGrad(t, "seq", r, train, perm, LWPvDSCD)
+			if r == 2 && n == 45 {
+				netsAgain, resAgain := runSyncGrad(t, "seq", r, train, perm, LWPvDSCD)
+				weightsEqual(t, "run-to-run", netsRef[0], netsAgain[0])
+				resultsEqual(t, "run-to-run", resRef, resAgain)
+			}
+			for _, engine := range []string{"lockstep", "async-lockstep"} {
+				label := fmt.Sprintf("R=%d/n=%d/%s", r, n, engine)
+				t.Run(label, func(t *testing.T) {
+					nets, res := runSyncGrad(t, engine, r, train, perm, LWPvDSCD)
+					weightsEqual(t, "seq-vs-"+engine, netsRef[0], nets[0])
+					resultsEqual(t, "seq-vs-"+engine, resRef, res)
+					// Drain broadcast: replicas end bit-identical, tail or not.
+					for i := 1; i < r; i++ {
+						weightsEqual(t, fmt.Sprintf("replica0-vs-replica%d", i), nets[0], nets[i])
+					}
+					// Every submitted sample came back exactly once, in global
+					// order.
+					if len(res) != n {
+						t.Fatalf("released %d results, want %d", len(res), n)
+					}
+					for i, re := range res {
+						if re.ID != i {
+							t.Fatalf("result %d has ID %d, want %d (global-order release)", i, re.ID, i)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -329,7 +340,7 @@ func TestClusterRejectsBadConfigs(t *testing.T) {
 	if _, err := NewCluster([]*nn.Network{n, n}, cfg, ClusterConfig{}); err == nil {
 		t.Fatal("aliased replica networks accepted")
 	}
-	// sync-grad needs a stepped engine at R > 1 (R=1 is a transparent
+	// sync-grad needs a deterministic engine at R > 1 (R=1 is a transparent
 	// wrapper, so any engine is fine there).
 	if _, err := NewCluster(clusterNets(2, 1), cfg, ClusterConfig{Engine: "async", Policy: syncpol.SyncGrad{}}); err == nil {
 		t.Fatal("sync-grad over the free-running engine accepted at R=2")

@@ -230,7 +230,7 @@ func TestClusterCancelMidEpochNoLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, engine := range []string{"seq", "lockstep", "async", "async-lockstep"} {
 		pol := syncpol.Policy(syncpol.AvgEvery{K: 4})
-		if engine == "seq" || engine == "lockstep" {
+		if engine != "async" {
 			pol = syncpol.SyncGrad{} // exercise the reducer teardown too
 		}
 		cfg := ScaledConfig(0.05, 0.9, 32, 2)

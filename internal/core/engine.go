@@ -18,12 +18,11 @@ import (
 // engines:
 //
 //   - "seq":      PBTrainer — single-threaded, cycle-accurate reference.
-//   - "lockstep": ParallelPBTrainer — goroutine per stage, global barrier
-//     per half-step; bit-identical to seq, parallel within a step.
 //   - "async":    AsyncPBTrainer in ModeFree — free-running stages over
 //     bounded queues, no barrier; staleness capped at D_s per stage.
-//   - "async-lockstep": AsyncPBTrainer in ModeLockstep — the async runtime
-//     driven as a deterministic systolic array; bit-identical to seq.
+//   - "lockstep" and "async-lockstep" (two names, one engine):
+//     AsyncPBTrainer in ModeLockstep — the async runtime driven as a
+//     deterministic systolic array; bit-identical to seq.
 //
 // Additional engines can be added with RegisterEngine.
 //
@@ -71,8 +70,8 @@ type Stats struct {
 	// free-running async engine has no global step; it reports 0.
 	Steps int
 	// Utilization is the engine's own utilization measure: the fraction of
-	// fully utilized worker steps for the synchronous engines, measured
-	// busy-time share of the available cores for the free-running engine.
+	// fully utilized worker steps for seq, the measured busy-time share of
+	// the available cores for the concurrent engine (both modes).
 	Utilization float64
 	// MaxObservedDelay is the largest forward→backward update gap seen at
 	// any stage (bounded by 2(S−1) — Eq. 5).
@@ -133,15 +132,14 @@ func init() {
 	RegisterEngine("seq", func(net *nn.Network, cfg Config) Engine {
 		return NewPBTrainer(net, cfg)
 	})
-	RegisterEngine("lockstep", func(net *nn.Network, cfg Config) Engine {
-		return NewParallelPBTrainer(net, cfg)
-	})
 	RegisterEngine("async", func(net *nn.Network, cfg Config) Engine {
 		return NewAsyncPBTrainer(net, cfg, ModeFree)
 	})
-	RegisterEngine("async-lockstep", func(net *nn.Network, cfg Config) Engine {
+	lockstep := func(net *nn.Network, cfg Config) Engine {
 		return NewAsyncPBTrainer(net, cfg, ModeLockstep)
-	})
+	}
+	RegisterEngine("lockstep", lockstep)
+	RegisterEngine("async-lockstep", lockstep)
 }
 
 // NewEngine constructs the named engine from the registry; the empty name
@@ -185,31 +183,6 @@ func (t *PBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]
 // Close implements Engine: it releases the trainer's kernel-worker groups.
 // Idempotent; the trainer remains usable afterwards with serial kernels.
 func (t *PBTrainer) Close() { closeParallels(t.pars) }
-
-// Submit implements Engine for the barrier-parallel trainer.
-func (t *ParallelPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	t.Push(x, label)
-	if r := t.Step(); r != nil {
-		t.inner.emitDriver([]*Result{r})
-		return []*Result{r}, nil
-	}
-	t.inner.emitDriver(nil)
-	return nil, nil
-}
-
-// NumStages returns the pipeline depth S.
-func (t *ParallelPBTrainer) NumStages() int { return t.inner.NumStages() }
-
-// InputBuffer delegates to the inner trainer's retired-input free list.
-func (t *ParallelPBTrainer) InputBuffer(shape ...int) *tensor.Tensor {
-	return t.inner.InputBuffer(shape...)
-}
-
-// Stats delegates to the step-based accounting of the inner trainer.
-func (t *ParallelPBTrainer) Stats() Stats { return t.inner.Stats() }
 
 // augFallbackSeed seeds the RNG RunEpoch derives when an augmenter is
 // supplied without one — a fixed constant, so the no-RNG path is

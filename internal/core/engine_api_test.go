@@ -77,6 +77,18 @@ func TestEngineNamesListsBuiltins(t *testing.T) {
 			t.Fatalf("EngineNames() = %v, missing %q", names, want)
 		}
 	}
+	// "lockstep" and "async-lockstep" name one engine: the async runtime in
+	// ModeLockstep, whose lifecycle suite (async_test.go) covers both.
+	for _, name := range []string{"lockstep", "async-lockstep"} {
+		e, err := NewEngine(name, models.DeepMLP(4, 4, 2, 2, 1), Config{LR: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, ok := e.(*AsyncPBTrainer); !ok || a.Mode != ModeLockstep {
+			t.Fatalf("NewEngine(%q) = %T, want *AsyncPBTrainer in ModeLockstep", name, e)
+		}
+		e.Close()
+	}
 }
 
 // TestRunEpochAugmenterNilRNG is the regression test for the nil-RNG

@@ -129,8 +129,8 @@ func NewPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 }
 
 // newPBTrainer builds the per-stage state without attaching kernel-worker
-// groups; the concurrent engines reuse it and split Config.Workers their
-// own way (see workers.go).
+// groups; the concurrent engine reuses it and splits Config.Workers its own
+// way (see workers.go).
 func newPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 	s := net.NumStages()
 	delays := StageDelays(s)

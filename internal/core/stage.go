@@ -12,8 +12,8 @@ import (
 // This file holds the engine-independent per-stage compute: the forward and
 // backward transformation of one sample at one stage, including the
 // mitigation machinery (weight prediction, stashing, spike compensation via
-// the optimizer, gradient shrinking). The sequential PBTrainer, the lockstep
-// ParallelPBTrainer and the free-running AsyncPBTrainer all drive these same
+// the optimizer, gradient shrinking). The sequential PBTrainer and the
+// concurrent AsyncPBTrainer (free-running or lockstep) drive these same
 // routines with different schedules; only the scheduling differs between
 // engines, never the math.
 //

@@ -151,9 +151,9 @@ func Table6LWPForms(w io.Writer, s Scale) {
 }
 
 // EngineThroughput compares the pipelined-backpropagation runtimes on the
-// same workload and hyperparameters: the sequential reference ("seq"), the
-// barrier-per-half-step parallel engine ("lockstep") and the free-running
-// asynchronous engine ("async", bounded queues, no barrier). It reports
+// same workload and hyperparameters: the sequential reference ("seq") and
+// the concurrent engine in its deterministic systolic mode ("lockstep") and
+// free-running mode ("async", bounded queues, no barrier). It reports
 // training throughput, each engine's utilization measure, and the maximum
 // observed gradient staleness against the analytic bound D_0 = 2(S−1) —
 // the async engine must stay within the bound (DESIGN.md, engine table).
@@ -207,7 +207,7 @@ func EngineThroughput(w io.Writer, s Scale) {
 		bus.Close()
 	}
 	fmt.Fprint(w, tab.String())
-	fmt.Fprintln(w, "utilization: seq/lockstep count full worker-steps; async measures busy time on the available cores")
+	fmt.Fprintln(w, "utilization: seq counts full worker-steps; lockstep and async measure busy time on the available cores")
 }
 
 // waitEngineStats polls the aggregator until the engine's drain summary has
@@ -249,7 +249,7 @@ func ClusterThroughput(w io.Writer, s Scale) {
 	} {
 		engine := "async"
 		if spec.sync == "sync-grad" {
-			engine = "seq" // gradient averaging needs a stepped engine
+			engine = "seq" // gradient averaging needs a deterministic engine
 		}
 		tr := train.New(build, train.WithEngine(engine), train.WithSeed(1),
 			train.WithKernelWorkers(budget),

@@ -13,7 +13,7 @@
 //     tracked) previous weights with the element-wise mean across replicas,
 //     summed in replica-index order so the result is deterministic.
 //   - "sync-grad": per-update gradient averaging. The cluster drives the
-//     replicas in lockstep rounds and, at every stage weight update, replaces
+//     replicas in rounds and, at every stage weight update, replaces
 //     each replica's gradient with the mean across replicas before the
 //     optimizer applies it — the replicated-stage coordination of
 //     PipeDream-2BW (Narayanan et al. 2021), which keeps all replicas
@@ -36,8 +36,8 @@ import (
 )
 
 // Replica is the per-replica view a Policy coordinates: stage-indexed access
-// to the parameters and optimizer state of one pipeline. All four core
-// engines satisfy it. Policies are only invoked with every replica quiesced
+// to the parameters and optimizer state of one pipeline. Every core engine
+// satisfies it. Policies are only invoked with every replica quiesced
 // (drained), so plain reads and writes are safe.
 type Replica interface {
 	NumStages() int
@@ -59,9 +59,10 @@ type Policy interface {
 	// every k samples per replica. 0 disables periodic syncs.
 	Interval() int
 	// GradReduce reports whether the cluster must drive the replicas in
-	// lockstep rounds with per-update gradient averaging (sync-grad). Such
-	// policies need a stepped inner engine ("seq" or "lockstep") at R > 1;
-	// with a single replica the harness never engages.
+	// rounds with per-update gradient averaging (sync-grad). Such policies
+	// need a deterministic engine at R > 1: seq, lockstep or async-lockstep
+	// (core.NewCluster enforces it); with a single replica the harness never
+	// engages.
 	GradReduce() bool
 	// SyncOnDrain reports whether Sync also runs when the cluster drains
 	// (end of epoch), so the canonical network reflects every replica.

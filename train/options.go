@@ -120,10 +120,10 @@ func WithWorkers(n int) Option {
 // number of concurrently busy goroutines the engine may use for stage
 // compute, split between pipeline-stage concurrency and intra-kernel
 // (blocked GEMM / fused conv) parallelism. The sequential engine gives the
-// whole budget to one shared kernel group; the concurrent engines reserve
-// one worker per stage and spread the surplus as per-stage kernel workers,
-// front-loaded onto the early (FLOP-heavy) stages. 0 (the default) and 1
-// disable intra-kernel parallelism. Training results are bit-identical at
+// whole budget to one shared kernel group; the concurrent engine (async or
+// lockstep) reserves one worker per stage and spreads the surplus as
+// per-stage kernel workers, front-loaded onto the early (FLOP-heavy)
+// stages. 0 (the default) and 1 disable intra-kernel parallelism. Training results are bit-identical at
 // every setting — the parallel kernels partition output tiles without
 // changing any accumulation order (DESIGN.md §9). Ignored by the SGDM
 // reference. Not to be confused with WithWorkers, which regroups the
@@ -149,9 +149,9 @@ func WithKernelWorkers(n int) Option {
 // policy selects the weight-sync policy: "none" (independent replicas —
 // throughput ceiling / ensemble), "avg-every-<k>" (local-SGD-style parameter
 // averaging every k samples per replica and at every drain) or "sync-grad"
-// (per-update gradient averaging; at r > 1 it needs the "seq" or "lockstep"
-// engine and keeps all replicas bit-identical — PB with effective update
-// size r). A cluster with r=1 is bit-identical to the bare engine under
+// (per-update gradient averaging; at r > 1 it needs a deterministic engine:
+// seq, lockstep or async-lockstep; it keeps all replicas bit-identical — PB
+// with effective update size r). A cluster with r=1 is bit-identical to the bare engine under
 // every policy. Ignored by WithSGDM (error at Fit). See DESIGN.md §10.
 func WithReplicas(r int, policy string) Option {
 	return func(o *options) {
@@ -210,8 +210,8 @@ func WithStageDelay(fn func(core.ChaosPoint) time.Duration) Option {
 // once n submissions are unfinished, Submit blocks (bounded-staleness
 // admission) until one completes, emitting staleness/queue-depth events on
 // the observer bus and counting the deferral in Stats().AdmitDeferred. Only
-// the "async" engine's free mode enforces the bound — the stepped engines
-// already bound staleness structurally and ignore it. Zero (the default)
+// the "async" engine's free mode enforces the bound — the deterministic
+// engines already bound staleness structurally and ignore it. Zero (the default)
 // means unbounded.
 func WithAdmitBound(n int) Option {
 	return func(o *options) {
