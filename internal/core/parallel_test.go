@@ -6,7 +6,32 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/models"
+	"repro/internal/nn"
 )
+
+// The "lockstep" engine is the concurrent, deterministic goroutine-per-stage
+// engine selected by name. These tests drive it through the registry, the
+// way cmd/pbtrain and the cluster select it, so they pin the name's contract
+// whatever runtime sits behind it.
+
+func newLockstep(t *testing.T, net *nn.Network, cfg Config) Engine {
+	t.Helper()
+	e, err := NewEngine("lockstep", net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// outstanding reports the samples submitted but not yet returned.
+func outstanding(t *testing.T, e Engine) int {
+	t.Helper()
+	o, ok := e.(interface{ Outstanding() int })
+	if !ok {
+		t.Fatalf("%T does not report Outstanding", e)
+	}
+	return o.Outstanding()
+}
 
 func TestParallelMatchesSequential(t *testing.T) {
 	// The goroutine-per-stage engine must produce a bit-identical weight
@@ -21,25 +46,34 @@ func TestParallelMatchesSequential(t *testing.T) {
 		cfg.Mitigation = mit
 
 		seq := NewPBTrainer(netSeq, cfg)
-		par := NewParallelPBTrainer(netPar, cfg)
+		par := newLockstep(t, netPar, cfg)
 		defer par.Close()
 
+		// Results may surface on a later Submit than on seq, so they are
+		// matched by sample ID.
+		bySeq, byPar := map[int]*Result{}, map[int]*Result{}
+		collect := func(into map[int]*Result, rs []*Result) {
+			for _, r := range rs {
+				into[r.ID] = r
+			}
+		}
 		for i := 0; i < train.Len(); i++ {
 			x, y := train.Sample(i)
 			x2 := x.Clone()
-			seq.Push(x, y)
-			par.Push(x2, y)
-			rs := seq.Step()
-			rp := par.Step()
-			if (rs == nil) != (rp == nil) {
-				t.Fatalf("%s: completion mismatch at sample %d", mit.Name(), i)
-			}
-			if rs != nil && (rs.Loss != rp.Loss || rs.Correct != rp.Correct) {
-				t.Fatalf("%s: result mismatch at sample %d: %v vs %v", mit.Name(), i, rs, rp)
+			collect(bySeq, submit(seq, x, y))
+			collect(byPar, submit(par, x2, y))
+		}
+		collect(bySeq, drain(seq))
+		collect(byPar, drain(par))
+		if len(bySeq) != train.Len() || len(byPar) != train.Len() {
+			t.Fatalf("%s: completed %d (seq) vs %d (parallel), want %d",
+				mit.Name(), len(bySeq), len(byPar), train.Len())
+		}
+		for id, rs := range bySeq {
+			if rp := byPar[id]; rp == nil || rs.Loss != rp.Loss || rs.Correct != rp.Correct {
+				t.Fatalf("%s: result mismatch at sample %d: %+v vs %+v", mit.Name(), id, rs, rp)
 			}
 		}
-		drain(seq)
-		drain(par)
 
 		ps, pp := netSeq.Params(), netPar.Params()
 		for i := range ps {
@@ -54,12 +88,11 @@ func TestParallelObservedDelays(t *testing.T) {
 	seed := int64(81)
 	train, _ := data.GaussianBlobs(6, 3, 60, 0, 1, 0.5, seed)
 	net := models.DeepMLP(6, 8, 4, 3, seed)
-	par := NewParallelPBTrainer(net, Config{LR: 0.001, Momentum: 0.5})
+	par := newLockstep(t, net, Config{LR: 0.001, Momentum: 0.5})
 	defer par.Close()
 	for i := 0; i < train.Len(); i++ {
 		x, y := train.Sample(i)
-		par.Push(x, y)
-		par.Step()
+		submit(par, x, y)
 	}
 	drain(par)
 	want := par.Delays()
@@ -73,21 +106,23 @@ func TestParallelObservedDelays(t *testing.T) {
 
 func TestParallelCloseIdempotent(t *testing.T) {
 	net := models.DeepMLP(4, 4, 2, 2, 1)
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0})
+	par := newLockstep(t, net, Config{LR: 0.01, Momentum: 0})
 	par.Close()
 	par.Close() // second close must be a no-op
 }
 
 func TestParallelStepAfterClosePanics(t *testing.T) {
 	net := models.DeepMLP(4, 4, 2, 2, 1)
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0})
+	par := newLockstep(t, net, Config{LR: 0.01, Momentum: 0})
 	par.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on Step after Close")
+			t.Fatal("expected panic on Submit after Close")
 		}
 	}()
-	par.Step()
+	train, _ := data.GaussianBlobs(4, 2, 1, 0, 1, 0.5, 1)
+	x, y := train.Sample(0)
+	submit(par, x, y)
 }
 
 // TestParallelNoGoroutineLeak closes engines (idle and mid-flight) and
@@ -96,12 +131,11 @@ func TestParallelNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 2; round++ {
 		net := models.DeepMLP(6, 8, 4, 3, 1)
-		par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0.5})
+		par := newLockstep(t, net, Config{LR: 0.01, Momentum: 0.5})
 		train, _ := data.GaussianBlobs(6, 3, 4, 0, 1, 0.5, 1)
 		for i := 0; i < train.Len(); i++ {
 			x, y := train.Sample(i)
-			par.Push(x, y)
-			par.Step() // leave the pipeline partially filled
+			submit(par, x, y) // leave the pipeline partially filled
 		}
 		par.Close()
 	}
@@ -114,7 +148,7 @@ func TestParallelNoGoroutineLeak(t *testing.T) {
 // depth and expects every one back.
 func TestParallelDrainPartial(t *testing.T) {
 	net := models.DeepMLP(6, 8, 6, 3, 1) // deeper than the 3 samples fed
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0.5})
+	par := newLockstep(t, net, Config{LR: 0.01, Momentum: 0.5})
 	defer par.Close()
 	train, _ := data.GaussianBlobs(6, 3, 3, 0, 1, 0.5, 1)
 	got := 0
@@ -126,19 +160,19 @@ func TestParallelDrainPartial(t *testing.T) {
 	if got != train.Len() {
 		t.Fatalf("partial drain returned %d of %d results", got, train.Len())
 	}
-	if par.Outstanding() != 0 {
-		t.Fatalf("outstanding %d after drain", par.Outstanding())
+	if n := outstanding(t, par); n != 0 {
+		t.Fatalf("outstanding %d after drain", n)
 	}
 }
 
 func TestParallelDrainEmpty(t *testing.T) {
 	net := models.DeepMLP(4, 4, 2, 2, 1)
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0})
+	par := newLockstep(t, net, Config{LR: 0.01, Momentum: 0})
 	defer par.Close()
 	if rs := drain(par); len(rs) != 0 {
 		t.Fatal("drain of empty pipeline returned results")
 	}
-	if par.Outstanding() != 0 {
+	if outstanding(t, par) != 0 {
 		t.Fatal("outstanding nonzero on fresh trainer")
 	}
 }
