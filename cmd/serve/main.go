@@ -1,4 +1,4 @@
-// Command serve runs the inference tier: a forward-only pipelined engine
+// Command serve runs the inference tier: the forward-only inference engine
 // (core.InferEngine via the train.Server facade) behind the HTTP API in
 // internal/serve — bounded admission, deadline-aware dynamic micro-batching,
 // hot checkpoint swap, graceful drain on SIGINT/SIGTERM.
@@ -11,8 +11,7 @@
 //	-model resnet       model family: resnet (mini ResNet-20, [3,8,8] inputs)
 //	                    or mlp (deep MLP, [48] inputs)
 //	-ckpt path          checkpoint to load at startup (any version v1–v3)
-//	-infer pipelined    inference engine: pipelined or direct
-//	-replicas 1         pipeline replicas sharing the weight set
+//	-replicas 1         network replicas sharing the weight set
 //	-kernel-workers 0   total kernel-worker budget
 //	-batch 8            max coalesced micro-batch size
 //	-window 2ms         per-request batching deadline budget
@@ -82,8 +81,7 @@ func main() {
 	addr := flag.String("addr", ":8097", "listen address")
 	model := flag.String("model", "resnet", "model family: resnet or mlp")
 	ckpt := flag.String("ckpt", "", "checkpoint to load at startup")
-	inferKind := flag.String("infer", "pipelined", "inference engine: pipelined or direct")
-	replicas := flag.Int("replicas", 1, "pipeline replicas")
+	replicas := flag.Int("replicas", 1, "network replicas")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-worker budget")
 	batch := flag.Int("batch", 8, "max coalesced micro-batch size")
 	window := flag.Duration("window", 2*time.Millisecond, "batching deadline budget")
@@ -93,7 +91,7 @@ func main() {
 	linPath := flag.String("lineage", "", "record serve lineage to this JSON file")
 	flag.Parse()
 
-	if err := run(*addr, *model, *ckpt, *inferKind, *dtype, *linPath, *replicas, *kernelWorkers, *batch, *window, *queue, *seed); err != nil {
+	if err := run(*addr, *model, *ckpt, *dtype, *linPath, *replicas, *kernelWorkers, *batch, *window, *queue, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -132,7 +130,7 @@ func recordLineage(linPath, ckpt, model, addr string) error {
 	return g.Write(linPath)
 }
 
-func run(addr, model, ckpt, inferKind, dtype, linPath string, replicas, kernelWorkers, batch int, window time.Duration, queue int, seed int64) error {
+func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batch int, window time.Duration, queue int, seed int64) error {
 	spec, err := modelFor(model)
 	if err != nil {
 		return err
@@ -141,13 +139,12 @@ func run(addr, model, ckpt, inferKind, dtype, linPath string, replicas, kernelWo
 	if err != nil {
 		return err
 	}
-	// One bus for the whole process: the inference engine's per-stage events
-	// and the admission tier's batching/latency events interleave on the
+	// One bus for the whole process: the inference engine's completion
+	// events and the admission tier's batching/latency events interleave on the
 	// stream /metrics and /events serve.
 	bus := obs.NewBus()
 	defer bus.Close()
 	backend, err := train.NewServer(spec.build, train.ServerConfig{
-		Engine:        inferKind,
 		Replicas:      replicas,
 		KernelWorkers: kernelWorkers,
 		Seed:          seed,
@@ -179,14 +176,16 @@ func run(addr, model, ckpt, inferKind, dtype, linPath string, replicas, kernelWo
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a client may dribble its request
+	// headers; bodies are bounded in size by the handlers.
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("serve: listening on %s (model=%s engine=%s replicas=%d batch=%d window=%s)\n",
-		addr, model, inferKind, replicas, batch, window)
+	fmt.Printf("serve: listening on %s (model=%s replicas=%d batch=%d window=%s)\n",
+		addr, model, replicas, batch, window)
 
 	select {
 	case err := <-errCh:

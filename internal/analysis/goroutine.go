@@ -24,7 +24,6 @@ var goroutineFiles = map[[2]string]bool{
 	{"internal/tensor", "parallel.go"}: true, // kernel worker group
 	{"internal/core", "async.go"}:      true, // async engine stage loops
 	{"internal/core", "cluster.go"}:    true, // per-replica round dispatch
-	{"internal/core", "infer.go"}:      true, // inference pipeline stage loops
 	{"internal/obs", "bus.go"}:         true, // metrics-bus pump (fan-out loop)
 	{"internal/serve", "server.go"}:    true, // admission batcher loop
 	{"cmd/serve", "main.go"}:           true, // HTTP listener + signal wait

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -51,11 +52,11 @@ func sameBits32(t *testing.T, got, want *tensor.Tensor, label string) {
 	}
 }
 
-// TestInferF32MatchesF64Oracle is the f32 inference tolerance matrix: both
-// infer engines × kernel workers {0, 2, 4} × MLP/ResNet. Every combination
-// must (a) agree with the f64 training forward within relative tolerance and
-// (b) be bit-identical to the f32 direct/serial reference — engine choice
-// and worker count never change f32 arithmetic, only precision does.
+// TestInferF32MatchesF64Oracle is the f32 inference tolerance matrix: kernel
+// workers {0, 2, 4} × MLP/ResNet. Every combination must (a) agree with the
+// f64 training forward within relative tolerance and (b) be bit-identical to
+// the f32 serial reference — worker count and arena reuse never change f32
+// arithmetic, only precision does.
 func TestInferF32MatchesF64Oracle(t *testing.T) {
 	const seed = 47
 	// Forward-only error accumulates one rounding per reduction step; the
@@ -70,8 +71,8 @@ func TestInferF32MatchesF64Oracle(t *testing.T) {
 			s.ReleaseCtx(ctxs[i], nil)
 		}
 
-		// The f32 reference logits come from the direct engine at workers=0.
-		ref, err := NewInferEngine("direct", []*nn.Network{toF32(m.build(seed))}, InferConfig{})
+		// The f32 reference logits come from the engine at workers=0.
+		ref, err := NewInferEngine([]*nn.Network{toF32(m.build(seed))}, InferConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,19 +87,17 @@ func TestInferF32MatchesF64Oracle(t *testing.T) {
 			}
 		}
 
-		for _, kind := range InferEngineNames() {
-			for _, workers := range []int{0, 2, 4} {
-				eng, err := NewInferEngine(kind, []*nn.Network{toF32(m.build(seed))}, InferConfig{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", m.name, kind, err)
-				}
-				label := m.name + "/" + kind + "/f32"
-				// Two passes so the pooled path also covers warmed arenas;
-				// f64 input is converted once at admission.
-				sameBits32(t, mustInfer(t, eng, x.Clone()), want32, label)
-				sameBits32(t, mustInfer(t, eng, x.Clone()), want32, label)
-				eng.Close()
+		for _, workers := range []int{0, 2, 4} {
+			eng, err := NewInferEngine([]*nn.Network{toF32(m.build(seed))}, InferConfig{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", m.name, err)
 			}
+			label := fmt.Sprintf("%s/f32/workers=%d", m.name, workers)
+			// Two passes so the pooled path also covers warmed arenas;
+			// f64 input is converted once at admission.
+			sameBits32(t, mustInfer(t, eng, x.Clone()), want32, label)
+			sameBits32(t, mustInfer(t, eng, x.Clone()), want32, label)
+			eng.Close()
 		}
 	}
 }

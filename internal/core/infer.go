@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,9 +13,9 @@ import (
 )
 
 // This file is the serving side of the forward/update split (DESIGN.md §12):
-// a forward-only engine family that drives the exact same per-stage forward
-// math as the trainers (stage.go forwardInfer) but carries no backward pass,
-// no optimizer, and no per-inflight context FIFOs. Weights live in immutable
+// a forward-only engine that drives the exact same per-stage forward math as
+// the trainers (stage.go forwardInfer) but carries no backward pass, no
+// optimizer, and no per-inflight context FIFOs. Weights live in immutable
 // reference-counted WeightSets shared by every replica; a hot swap atomically
 // publishes a new set while in-flight requests finish on the version they
 // were admitted with.
@@ -135,411 +134,23 @@ type InferStats struct {
 
 // InferConfig configures an inference engine.
 type InferConfig struct {
-	// Workers is the total kernel-worker budget, split replicas-first then
-	// per stage exactly like the training engines (workers.go). 0 = serial.
+	// Workers is the total kernel-worker budget, split across replicas
+	// (workers.go). 0 = serial.
 	Workers int
 	// Unpooled disables arena pooling (the allocate-everything reference
 	// path, bit-identical to the pooled one).
 	Unpooled bool
-	// Obs, when non-nil, is the metrics bus the engine emits per-stage queue
-	// depth and lifetime completion events onto (internal/obs). Emission
-	// never blocks a stage and never changes the computed logits.
+	// Obs, when non-nil, is the metrics bus the engine emits lifetime
+	// completion events onto (internal/obs). Emission never blocks a request
+	// and never changes the computed logits.
 	Obs *obs.Bus
 }
 
-// InferEngine is the forward-only serving surface. Infer runs one input
-// tensor (a sample or a coalesced micro-batch [N, ...]) through the pipeline
-// and returns a caller-owned logits tensor; Swap atomically publishes a new
-// weight set without dropping in-flight requests and returns the displaced
-// one so callers can watch its references drain.
-type InferEngine interface {
-	Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error)
-	Swap(ws *WeightSet) (*WeightSet, error)
-	Weights() *WeightSet
-	NumStages() int
-	Stats() InferStats
-	Close()
-}
-
-// InferFactory builds an inference engine over replica networks. The engines
-// take ownership of the nets: their parameter storage is pointer-swapped to
-// the published WeightSet, so the nets must not be trained or served through
-// another engine afterwards.
-type InferFactory func(nets []*nn.Network, cfg InferConfig) (InferEngine, error)
-
-var (
-	inferMu       sync.RWMutex
-	inferRegistry = map[string]InferFactory{}
-)
-
-// RegisterInferEngine adds a named inference-engine constructor to the
-// registry, mirroring RegisterEngine's contract: names must be unique and
-// non-empty, factories non-nil.
-func RegisterInferEngine(name string, f InferFactory) {
-	if name == "" {
-		panic("core: RegisterInferEngine with empty name")
-	}
-	if f == nil {
-		panic("core: RegisterInferEngine with nil factory")
-	}
-	inferMu.Lock()
-	defer inferMu.Unlock()
-	if _, dup := inferRegistry[name]; dup {
-		panic("core: RegisterInferEngine duplicate name " + name)
-	}
-	inferRegistry[name] = f
-}
-
-// InferEngineNames returns the registered inference-engine names, sorted.
-func InferEngineNames() []string {
-	inferMu.RLock()
-	defer inferMu.RUnlock()
-	names := make([]string, 0, len(inferRegistry))
-	for name := range inferRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewInferEngine builds the named inference engine ("" means "pipelined").
-func NewInferEngine(kind string, nets []*nn.Network, cfg InferConfig) (InferEngine, error) {
-	if kind == "" {
-		kind = "pipelined"
-	}
-	inferMu.RLock()
-	f := inferRegistry[kind]
-	inferMu.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("core: unknown infer engine %q (have %v)", kind, InferEngineNames())
-	}
-	return f(nets, cfg)
-}
-
-func init() {
-	RegisterInferEngine("pipelined", newPipelinedInfer)
-	RegisterInferEngine("direct", newDirectInfer)
-}
-
-// inferBase holds the state shared by every inference engine: the published
-// weight set and the request counters.
-type inferBase struct {
-	weights atomic.Pointer[WeightSet]
-	// names/sizes/dtype are the pipeline's expected parameter layout, captured
-	// at construction and used to validate swapped-in sets.
-	names [][]string
-	sizes [][]int
-	dtype tensor.DType
-
-	submitted atomic.Int64
-	completed atomic.Int64
-	swaps     atomic.Int64
-}
-
-// initBase captures the parameter layout from net, publishes its weights as
-// the initial set, and validates nets as weight-identical replicas.
-func (b *inferBase) initBase(nets []*nn.Network) error {
-	if len(nets) == 0 {
-		return errors.New("core: infer engine needs at least one network")
-	}
-	if err := validateReplicaNets(nets); err != nil {
-		return err
-	}
-	net := nets[0]
-	n := net.NumStages()
-	b.dtype = net.DType()
-	b.names = make([][]string, n)
-	b.sizes = make([][]int, n)
-	for s := 0; s < n; s++ {
-		ps := net.StageParams(s)
-		b.names[s] = make([]string, len(ps))
-		b.sizes[s] = make([]int, len(ps))
-		for j, p := range ps {
-			b.names[s][j] = p.Name
-			b.sizes[s][j] = p.W.Size()
-		}
-	}
-	ws := CaptureWeights(net)
-	ws.retain() // the publication slot's reference
-	b.weights.Store(ws)
-	return nil
-}
-
-// acquire pins the currently published weight set for one request. The
-// retain/re-check loop closes the race against a concurrent Swap releasing
-// the set between the load and the retain.
-func (b *inferBase) acquire() *WeightSet {
-	for {
-		ws := b.weights.Load()
-		ws.retain()
-		if b.weights.Load() == ws {
-			return ws
-		}
-		ws.release()
-	}
-}
-
-// swap validates and atomically publishes ws, returning the displaced set.
-func (b *inferBase) swap(ws *WeightSet) (*WeightSet, error) {
-	if err := ws.matches(b.names, b.sizes, b.dtype); err != nil {
-		return nil, err
-	}
-	ws.retain()
-	old := b.weights.Swap(ws)
-	old.release()
-	b.swaps.Add(1)
-	return old, nil
-}
-
-// Weights returns the currently published set (not retained: callers that
-// need to hold it across a swap must go through Infer, which pins per
-// request).
-func (b *inferBase) Weights() *WeightSet { return b.weights.Load() }
-
-func (b *inferBase) stats() InferStats {
-	return InferStats{
-		Stages:    len(b.names),
-		Submitted: b.submitted.Load(),
-		Completed: b.completed.Load(),
-		Swaps:     b.swaps.Load(),
-	}
-}
-
-// inferFlight is one request in flight through a pipelined replica. The
-// weight set is pinned at admission so the whole pipeline computes under one
-// version even if a swap lands mid-flight; out is buffered so the last stage
-// never blocks on a caller that has abandoned the request.
-type inferFlight struct {
-	p   *nn.Packet
-	ws  *WeightSet
-	out chan *tensor.Tensor
-}
-
-// inferStage is one stage of one pipelined inference replica. Like
-// stageState, its arena and installed weight view are touched only by the
-// stage's own goroutine.
-type inferStage struct {
-	idx    int
-	stage  nn.Stage
-	params []*nn.Param
-	cur    *WeightSet
-	arena  *tensor.Arena
-	par    *tensor.Parallel
-	in     chan *inferFlight
-	// obs, when non-nil, receives the stage's queue-depth events (and, at
-	// the last stage, completion events). Stage-goroutine only.
-	obs *obs.Producer
-}
-
-// install points the stage's parameters at the flight's weight view. The
-// comparison against the last-installed set makes this a no-op on the steady
-// path; stage goroutines own their params, so the pointer swap is race-free.
-func (st *inferStage) install(ws *WeightSet) {
-	if ws == st.cur {
-		return
-	}
-	installStageWeights(ws, st.idx, st.params)
-	st.cur = ws
-}
-
-// installStageWeights pointer-swaps stage idx's parameters onto ws's storage,
-// dispatching on the set's dtype.
-func installStageWeights(ws *WeightSet, idx int, params []*nn.Param) {
-	if ws.dtype == tensor.F32 {
-		view := ws.datas32[idx]
-		for j, p := range params {
-			p.SwapData32(view[j])
-		}
-		return
-	}
-	view := ws.datas[idx]
-	for j, p := range params {
-		p.SwapData(view[j])
-	}
-}
-
-// pipelinedInfer is the forward-only pipelined engine: one goroutine per
-// stage per replica, connected by channels, with requests round-robined
-// across replicas. It is the serving twin of AsyncPBTrainer's forward path.
-type pipelinedInfer struct {
-	inferBase
-	reps [][]*inferStage
-	next atomic.Uint64
-	stop chan struct{}
-	wg   sync.WaitGroup
-	pars []*tensor.Parallel
-	once sync.Once
-}
-
-// newPipelinedInfer builds the pipelined engine over R replica networks
-// (one replica per net).
-func newPipelinedInfer(nets []*nn.Network, cfg InferConfig) (InferEngine, error) {
-	e := &pipelinedInfer{stop: make(chan struct{})}
-	if err := e.initBase(nets); err != nil {
-		return nil, err
-	}
-	s := nets[0].NumStages()
-	repBudget := replicaShares(cfg.Workers, len(nets))
-	for r, net := range nets {
-		shares := kernelShares(repBudget[r], s)
-		stages := make([]*inferStage, s)
-		for i := 0; i < s; i++ {
-			var ar *tensor.Arena
-			if !cfg.Unpooled {
-				ar = tensor.NewArena()
-			}
-			par := tensor.NewParallel(shares[i])
-			if par != nil {
-				e.pars = append(e.pars, par)
-			}
-			stages[i] = &inferStage{
-				idx:    i,
-				stage:  net.Stages[i],
-				params: net.StageParams(i),
-				arena:  ar,
-				par:    par,
-				in:     make(chan *inferFlight, 1),
-			}
-			if cfg.Obs != nil {
-				stages[i].obs = cfg.Obs.Producer(obsRingCap)
-			}
-		}
-		e.reps = append(e.reps, stages)
-	}
-	for _, stages := range e.reps {
-		for _, st := range stages {
-			e.wg.Add(1)
-			go e.stageLoop(stages, st)
-		}
-	}
-	return e, nil
-}
-
-// stageLoop is one stage goroutine: receive a flight, install its weight
-// view, run the forward-only primitive, and hand the flight downstream (or
-// deliver logits at the last stage). Every channel operation carries a stop
-// escape so Close unwinds the whole pipeline (§6 contract).
-func (e *pipelinedInfer) stageLoop(stages []*inferStage, st *inferStage) {
-	defer e.wg.Done()
-	last := st.idx == len(stages)-1
-	for {
-		select {
-		case f := <-st.in:
-			if st.obs != nil {
-				st.obs.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: st.idx, Count: int64(len(st.in))})
-			}
-			st.install(f.ws)
-			out := forwardInfer(st.stage, f.p, st.arena, st.par)
-			if !last {
-				f.p = out
-				select {
-				case stages[st.idx+1].in <- f:
-				case <-e.stop:
-					f.ws.release()
-					return
-				}
-				continue
-			}
-			if len(out.Skips) != 0 {
-				panic("core: infer pipeline finished with a non-empty skip stack")
-			}
-			// Copy the logits out of the arena so the result crosses the
-			// goroutine boundary with no shared ownership. The flight is
-			// settled — weight pin released, completion counted — before the
-			// response is delivered, so a client that has its logits always
-			// observes the counters and reference counts already up to date.
-			logits := tensor.NewDT(out.X.DType(), out.X.Shape...)
-			logits.CopyFrom(out.X)
-			st.arena.Put(out.X)
-			f.ws.release()
-			done := e.completed.Add(1)
-			if st.obs != nil {
-				st.obs.Emit(obs.Event{Kind: obs.KindInferDone, Stage: -1, Count: done})
-			}
-			select {
-			case f.out <- logits:
-			case <-e.stop:
-			}
-		case <-e.stop:
-			return
-		}
-	}
-}
-
-// Infer implements InferEngine. The input tensor moves into the engine; the
-// returned logits tensor is caller-owned. Cancelling ctx abandons the wait
-// but the flight still completes inside the pipeline (its resources are
-// released there), so cancellation never wedges a stage.
-func (e *pipelinedInfer) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	x = x.ConvertTo(e.dtype) // feeders supply f64; identity when dtypes match
-	ws := e.acquire()
-	f := &inferFlight{p: nn.NewPacket(x), ws: ws, out: make(chan *tensor.Tensor, 1)}
-	rep := e.reps[int(e.next.Add(1)-1)%len(e.reps)]
-	select {
-	case rep[0].in <- f:
-		e.submitted.Add(1)
-	case <-ctx.Done():
-		ws.release()
-		return nil, ctx.Err()
-	case <-e.stop:
-		ws.release()
-		return nil, ErrInferClosed
-	}
-	select {
-	case y := <-f.out:
-		return y, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-e.stop:
-		return nil, ErrInferClosed
-	}
-}
-
-// Swap implements InferEngine.
-func (e *pipelinedInfer) Swap(ws *WeightSet) (*WeightSet, error) { return e.swap(ws) }
-
-// NumStages implements InferEngine.
-func (e *pipelinedInfer) NumStages() int { return len(e.names) }
-
-// Stats implements InferEngine.
-func (e *pipelinedInfer) Stats() InferStats {
-	st := e.stats()
-	st.Replicas = len(e.reps)
-	return st
-}
-
-// Close implements InferEngine: it unwinds every stage goroutine, releases
-// any flights still queued between stages, drops the publication reference,
-// and closes the kernel-worker groups. Idempotent. Callers that need a
-// zero-drop shutdown must stop submitting and let in-flight requests finish
-// first (the serve layer's drain does exactly that).
-func (e *pipelinedInfer) Close() {
-	e.once.Do(func() {
-		close(e.stop)
-		e.wg.Wait()
-		for _, stages := range e.reps {
-			for _, st := range stages {
-				for {
-					select {
-					case f := <-st.in:
-						f.ws.release()
-					default:
-						goto next
-					}
-				}
-			next:
-			}
-		}
-		closeParallels(e.pars)
-		e.weights.Load().release()
-	})
-}
-
-// directReplica is one serialized forward path of the direct engine: all
-// stages run in the caller's goroutine under the replica lock, sharing one
-// arena (tensors migrate between stages exactly as they do across pipeline
-// stage boundaries).
-type directReplica struct {
+// inferReplica is one serialized forward path: all stages run in the
+// caller's goroutine under the replica lock, sharing one arena (tensors
+// migrate between stages exactly as they do across pipeline stage
+// boundaries, and every buffer comes back to the arena it came from).
+type inferReplica struct {
 	mu     sync.Mutex
 	stages []nn.Stage
 	params [][]*nn.Param
@@ -551,27 +162,66 @@ type directReplica struct {
 	obs *obs.Producer
 }
 
-// directInfer runs the whole forward pass inline in the calling goroutine,
-// one request at a time per replica. It spawns no goroutines and is the
-// oracle the bit-exactness tests compare the pipelined engine against.
-type directInfer struct {
-	inferBase
-	reps   []*directReplica
+// InferEngine is the forward-only serving engine. Infer runs one input
+// tensor (a sample or a coalesced micro-batch [N, ...]) through the whole
+// network inline in the calling goroutine, one request at a time per
+// replica, with requests round-robined across replicas; it spawns no
+// goroutines. Swap atomically publishes a new weight set without dropping
+// in-flight requests and returns the displaced one so callers can watch its
+// references drain.
+type InferEngine struct {
+	weights atomic.Pointer[WeightSet]
+	// names/sizes/dtype are the network's expected parameter layout,
+	// captured at construction and used to validate swapped-in sets.
+	names [][]string
+	sizes [][]int
+	dtype tensor.DType
+
+	reps   []*inferReplica
 	next   atomic.Uint64
 	pars   []*tensor.Parallel
 	closed atomic.Bool
 	once   sync.Once
+
+	submitted atomic.Int64
+	completed atomic.Int64
+	swaps     atomic.Int64
 }
 
-// newDirectInfer builds the direct (in-caller, serialized) engine.
-func newDirectInfer(nets []*nn.Network, cfg InferConfig) (InferEngine, error) {
-	e := &directInfer{}
-	if err := e.initBase(nets); err != nil {
+// NewInferEngine builds the engine over R weight-identical replica networks
+// (one replica per net). The engine takes ownership of the nets: their
+// parameter storage is pointer-swapped to the published WeightSet, so the
+// nets must not be trained or served through another engine afterwards.
+func NewInferEngine(nets []*nn.Network, cfg InferConfig) (*InferEngine, error) {
+	if len(nets) == 0 {
+		return nil, errors.New("core: infer engine needs at least one network")
+	}
+	if err := validateReplicaNets(nets); err != nil {
 		return nil, err
 	}
+	net := nets[0]
+	n := net.NumStages()
+	e := &InferEngine{
+		names: make([][]string, n),
+		sizes: make([][]int, n),
+		dtype: net.DType(),
+	}
+	for s := 0; s < n; s++ {
+		ps := net.StageParams(s)
+		e.names[s] = make([]string, len(ps))
+		e.sizes[s] = make([]int, len(ps))
+		for j, p := range ps {
+			e.names[s][j] = p.Name
+			e.sizes[s][j] = p.W.Size()
+		}
+	}
+	ws := CaptureWeights(net)
+	ws.retain() // the publication slot's reference
+	e.weights.Store(ws)
+
 	repBudget := replicaShares(cfg.Workers, len(nets))
 	for r, net := range nets {
-		rep := &directReplica{par: tensor.NewParallel(repBudget[r])}
+		rep := &inferReplica{par: tensor.NewParallel(repBudget[r])}
 		if !cfg.Unpooled {
 			rep.arena = tensor.NewArena()
 		}
@@ -590,20 +240,56 @@ func newDirectInfer(nets []*nn.Network, cfg InferConfig) (InferEngine, error) {
 	return e, nil
 }
 
-// Infer implements InferEngine.
-func (e *directInfer) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if e.closed.Load() {
-		return nil, ErrInferClosed
+// acquire pins the currently published weight set for one request. The
+// retain/re-check loop closes the race against a concurrent Swap releasing
+// the set between the load and the retain.
+func (e *InferEngine) acquire() *WeightSet {
+	for {
+		ws := e.weights.Load()
+		ws.retain()
+		if e.weights.Load() == ws {
+			return ws
+		}
+		ws.release()
 	}
+}
+
+// installStageWeights pointer-swaps stage idx's parameters onto ws's storage,
+// dispatching on the set's dtype.
+func installStageWeights(ws *WeightSet, idx int, params []*nn.Param) {
+	if ws.dtype == tensor.F32 {
+		view := ws.datas32[idx]
+		for j, p := range params {
+			p.SwapData32(view[j])
+		}
+		return
+	}
+	view := ws.datas[idx]
+	for j, p := range params {
+		p.SwapData(view[j])
+	}
+}
+
+// Infer runs x through one replica and returns a caller-owned logits
+// tensor. The input tensor moves into the engine. The request's weight pin
+// is released before Infer returns, so a displaced set's InUse count is
+// already settled when the caller sees its logits.
+func (e *InferEngine) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	rep := e.reps[int(e.next.Add(1)-1)%len(e.reps)]
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	// Checked under the replica lock: Close takes every replica lock after
+	// setting closed, so a request either finishes before the kernel
+	// workers shut down or sees the flag.
+	if e.closed.Load() {
+		return nil, ErrInferClosed
 	}
 	x = x.ConvertTo(e.dtype) // feeders supply f64; identity when dtypes match
 	ws := e.acquire()
 	defer ws.release()
-	rep := e.reps[int(e.next.Add(1)-1)%len(e.reps)]
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
 	e.submitted.Add(1)
 	if ws != rep.cur {
 		for s, ps := range rep.params {
@@ -628,23 +314,44 @@ func (e *directInfer) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tens
 	return logits, nil
 }
 
-// Swap implements InferEngine.
-func (e *directInfer) Swap(ws *WeightSet) (*WeightSet, error) { return e.swap(ws) }
-
-// NumStages implements InferEngine.
-func (e *directInfer) NumStages() int { return len(e.names) }
-
-// Stats implements InferEngine.
-func (e *directInfer) Stats() InferStats {
-	st := e.stats()
-	st.Replicas = len(e.reps)
-	return st
+// Swap validates and atomically publishes ws, returning the displaced set.
+func (e *InferEngine) Swap(ws *WeightSet) (*WeightSet, error) {
+	if err := ws.matches(e.names, e.sizes, e.dtype); err != nil {
+		return nil, err
+	}
+	ws.retain()
+	old := e.weights.Swap(ws)
+	old.release()
+	e.swaps.Add(1)
+	return old, nil
 }
 
-// Close implements InferEngine.
-func (e *directInfer) Close() {
+// Weights returns the currently published set (not retained: callers that
+// need to hold it across a swap must go through Infer, which pins per
+// request).
+func (e *InferEngine) Weights() *WeightSet { return e.weights.Load() }
+
+// Stats returns the engine's counter snapshot.
+func (e *InferEngine) Stats() InferStats {
+	return InferStats{
+		Stages:    len(e.names),
+		Replicas:  len(e.reps),
+		Submitted: e.submitted.Load(),
+		Completed: e.completed.Load(),
+		Swaps:     e.swaps.Load(),
+	}
+}
+
+// Close waits for the requests already running on each replica, then
+// closes the kernel-worker groups and drops the publication reference.
+// Later Infer calls fail with ErrInferClosed. Idempotent.
+func (e *InferEngine) Close() {
 	e.once.Do(func() {
 		e.closed.Store(true)
+		for _, rep := range e.reps {
+			rep.mu.Lock() // barrier: wait out the replica's running request
+			rep.mu.Unlock()
+		}
 		closeParallels(e.pars)
 		e.weights.Load().release()
 	})

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -51,7 +53,7 @@ func randBatch(batch int, shape []int, seed int64) *tensor.Tensor {
 }
 
 // mustInfer runs one request and fails the test on error.
-func mustInfer(t *testing.T, e InferEngine, x *tensor.Tensor) *tensor.Tensor {
+func mustInfer(t *testing.T, e *InferEngine, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	y, err := e.Infer(context.Background(), x)
 	if err != nil {
@@ -74,9 +76,9 @@ func sameBits(t *testing.T, got, want *tensor.Tensor, label string) {
 	}
 }
 
-// TestInferMatchesTrainingForward is the bit-exactness matrix: both engines,
-// pooled and unpooled, several kernel-worker budgets, both model families —
-// every combination must reproduce nn.Network.Forward (the training forward)
+// TestInferMatchesTrainingForward is the bit-exactness matrix: pooled and
+// unpooled, several kernel-worker budgets, both model families — every
+// combination must reproduce nn.Network.Forward (the training forward)
 // exactly.
 func TestInferMatchesTrainingForward(t *testing.T) {
 	const seed = 41
@@ -87,39 +89,37 @@ func TestInferMatchesTrainingForward(t *testing.T) {
 		for i, s := range oracle.Stages {
 			s.ReleaseCtx(ctxs[i], nil)
 		}
-		for _, kind := range InferEngineNames() {
-			for _, unpooled := range []bool{false, true} {
-				for _, workers := range []int{0, 2, 4} {
-					eng, err := NewInferEngine(kind, []*nn.Network{m.build(seed)}, InferConfig{
-						Workers:  workers,
-						Unpooled: unpooled,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", m.name, kind, err)
-					}
-					label := m.name + "/" + kind
-					// Two passes so the pooled path also covers warmed arenas.
-					sameBits(t, mustInfer(t, eng, x.Clone()), want, label)
-					sameBits(t, mustInfer(t, eng, x.Clone()), want, label)
-					st := eng.Stats()
-					if st.Submitted != 2 || st.Completed != 2 {
-						t.Fatalf("%s: stats %+v, want 2 submitted/completed", label, st)
-					}
-					eng.Close()
+		for _, unpooled := range []bool{false, true} {
+			for _, workers := range []int{0, 2, 4} {
+				eng, err := NewInferEngine([]*nn.Network{m.build(seed)}, InferConfig{
+					Workers:  workers,
+					Unpooled: unpooled,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", m.name, err)
 				}
+				label := fmt.Sprintf("%s/unpooled=%v/workers=%d", m.name, unpooled, workers)
+				// Two passes so the pooled path also covers warmed arenas.
+				sameBits(t, mustInfer(t, eng, x.Clone()), want, label)
+				sameBits(t, mustInfer(t, eng, x.Clone()), want, label)
+				st := eng.Stats()
+				if st.Submitted != 2 || st.Completed != 2 {
+					t.Fatalf("%s: stats %+v, want 2 submitted/completed", label, st)
+				}
+				eng.Close()
 			}
 		}
 	}
 }
 
-// TestInferReplicasShareWeights runs a multi-replica pipelined engine and
+// TestInferReplicasShareWeights runs a multi-replica engine and
 // checks every replica (round-robin) computes identical logits from the one
 // shared weight set.
 func TestInferReplicasShareWeights(t *testing.T) {
 	m := inferModels()[0]
 	const seed = 43
 	nets := []*nn.Network{m.build(seed), m.build(seed), m.build(seed)}
-	eng, err := NewInferEngine("pipelined", nets, InferConfig{Workers: 3})
+	eng, err := NewInferEngine(nets, InferConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestInferCheckpointVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			eng, err := NewInferEngine("pipelined", []*nn.Network{m.build(seed)}, InferConfig{Workers: 2})
+			eng, err := NewInferEngine([]*nn.Network{m.build(seed)}, InferConfig{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestInferCheckpointVersions(t *testing.T) {
 // the published set.
 func TestInferSwapRejectsMismatch(t *testing.T) {
 	m := inferModels()[0]
-	eng, err := NewInferEngine("direct", []*nn.Network{m.build(1)}, InferConfig{})
+	eng, err := NewInferEngine([]*nn.Network{m.build(1)}, InferConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +239,11 @@ func TestInferSwapRejectsMismatch(t *testing.T) {
 }
 
 // TestInferHotSwapUnderLoad swaps weights while concurrent clients stream
-// requests: no request may fail, every response must be bit-identical to one
-// of the two published versions (a flight never observes a torn mix), and
-// every displaced weight set must drain its references to zero.
+// requests over two replicas: no request may fail, every response must be
+// bit-identical to one of the two published versions (a request never
+// observes a torn mix), and every displaced weight set must hold zero
+// references as soon as the clients are done, because Infer releases its
+// pin before it returns.
 func TestInferHotSwapUnderLoad(t *testing.T) {
 	m := inferModels()[0]
 	const (
@@ -252,7 +254,7 @@ func TestInferHotSwapUnderLoad(t *testing.T) {
 		swaps   = 12
 	)
 	nets := []*nn.Network{m.build(seedA), m.build(seedA)}
-	eng, err := NewInferEngine("pipelined", nets, InferConfig{Workers: 2})
+	eng, err := NewInferEngine(nets, InferConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,20 +319,16 @@ func TestInferHotSwapUnderLoad(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	// With all clients done, every displaced set's in-flight pins must have
-	// drained; only the currently published set keeps its publication
+	// With all clients returned, every displaced set's in-flight pins are
+	// already gone; only the currently published set keeps its publication
 	// reference.
 	current := eng.Weights()
-	deadline := time.Now().Add(2 * time.Second)
-	for _, ws := range displaced {
+	for i, ws := range displaced {
 		if ws == current {
 			continue
 		}
-		for ws.InUse() != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("displaced weight set still has %d references after drain", ws.InUse())
-			}
-			time.Sleep(time.Millisecond)
+		if n := ws.InUse(); n != 0 {
+			t.Fatalf("displaced weight set %d still has %d references after every request returned", i, n)
 		}
 	}
 	if got := current.InUse(); got != 1 {
@@ -345,50 +343,53 @@ func TestInferHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestInferClose checks the lifecycle edges: Close is idempotent, and Infer
-// after Close fails with ErrInferClosed on both engines.
+// TestInferClose checks the lifecycle edges: Close is idempotent, Infer
+// after Close fails with ErrInferClosed, and a Close that lands while
+// clients are mid-request waits them out instead of shutting the kernel
+// workers under them (every request either completes or sees
+// ErrInferClosed; none hangs).
 func TestInferClose(t *testing.T) {
-	m := inferModels()[0]
-	for _, kind := range InferEngineNames() {
-		eng, err := NewInferEngine(kind, []*nn.Network{m.build(1)}, InferConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustInfer(t, eng, randBatch(1, m.shape, 2))
-		eng.Close()
-		eng.Close()
-		if _, err := eng.Infer(context.Background(), randBatch(1, m.shape, 2)); err != ErrInferClosed {
-			t.Fatalf("%s: Infer after Close = %v, want ErrInferClosed", kind, err)
-		}
-	}
-}
-
-// TestInferRegistry pins the registry surface: both built-ins present, ""
-// resolves to pipelined, unknown names fail with the known list.
-func TestInferRegistry(t *testing.T) {
-	names := InferEngineNames()
-	want := []string{"direct", "pipelined"}
-	if len(names) < len(want) {
-		t.Fatalf("InferEngineNames() = %v, want at least %v", names, want)
-	}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("InferEngineNames() = %v, missing %q", names, w)
-		}
-	}
-	m := inferModels()[0]
-	eng, err := NewInferEngine("", []*nn.Network{m.build(1)}, InferConfig{})
+	m := inferModels()[1] // conv stages, large enough to fan out to kernel workers
+	nets := []*nn.Network{m.build(1), m.build(1)}
+	eng, err := NewInferEngine(nets, InferConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const clients = 4
+	var wg sync.WaitGroup
+	started := make(chan struct{}, clients)
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if _, err := eng.Infer(context.Background(), randBatch(4, m.shape, 2)); err != nil {
+					if !errors.Is(err, ErrInferClosed) {
+						errs <- err
+					}
+					return
+				}
+				if i == 0 {
+					started <- struct{}{}
+				}
+			}
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		<-started
+	}
 	eng.Close()
-	if _, err := NewInferEngine("bogus", []*nn.Network{m.build(1)}, InferConfig{}); err == nil {
-		t.Fatal("NewInferEngine accepted an unknown kind")
+	eng.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("request racing Close: %v", err)
+	}
+	if _, err := eng.Infer(context.Background(), randBatch(1, m.shape, 2)); !errors.Is(err, ErrInferClosed) {
+		t.Fatalf("Infer after Close = %v, want ErrInferClosed", err)
+	}
+	if st := eng.Stats(); st.Submitted != st.Completed {
+		t.Fatalf("stats %+v: a request was cut off by Close", st)
 	}
 }

@@ -2,9 +2,9 @@ package core
 
 import "repro/internal/obs"
 
-// This file is the engines' observability wiring: every engine, when built
-// with Config.Obs (or InferConfig.Obs), emits typed events onto the metrics
-// bus — per-stage queue depth and staleness, busy-time accounting, lifetime
+// This file is the engines' observability wiring: every training engine,
+// when built with Config.Obs, emits typed events onto the metrics bus —
+// per-stage queue depth and staleness, busy-time accounting, lifetime
 // completion counters, sync-policy clock — and publishes a KindEngineStats
 // summary after each successful Drain, so the bus aggregator carries the
 // same numbers Stats() reports and Stats() becomes one consumer of the
@@ -16,6 +16,8 @@ import "repro/internal/obs"
 // producer is nil and each emit site is a single pointer check. Events
 // never feed back into the training math — a bus-enabled run is
 // bit-identical to a bus-disabled one (TestObsDoesNotPerturbTraining).
+// The inference engine (infer.go, InferConfig.Obs) emits only completion
+// events, one producer per replica.
 
 // obsRingCap sizes the per-producer rings. Deep enough to ride out pump
 // scheduling hiccups; overflow is drop-oldest, never blocking.

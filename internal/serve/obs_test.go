@@ -16,8 +16,9 @@ import (
 )
 
 // newObsServer wires a backend and serving tier sharing one explicit bus, so
-// engine events (KindInferDone, per-stage queue depth) and admission events
-// (KindBatch, KindLatency) interleave on the same stream the tests read.
+// engine events (KindInferDone) and admission events (KindBatch,
+// KindLatency, admission-queue depth) interleave on the same stream the
+// tests read.
 func newObsServer(t *testing.T, cfg Config) (*Server, *obs.Bus) {
 	t.Helper()
 	bus := obs.NewBus()

@@ -95,6 +95,16 @@ type Stats struct {
 	Infer core.InferStats `json:"infer"`
 }
 
+// Request-body bounds. A predict body holds one sample: at most
+// maxJSONFloatBytes per value (a float64 encodes in at most 25 JSON bytes,
+// plus a separator and a little whitespace) and bodySlack bytes for the
+// envelope. A swap body holds one checkpoint path. Larger bodies get 413.
+const (
+	maxJSONFloatBytes = 32
+	bodySlack         = 4 << 10
+	maxSwapBody       = 64 << 10
+)
+
 // Server is the HTTP serving tier.
 type Server struct {
 	cfg    Config
@@ -324,8 +334,8 @@ func softmax(row []float64) ([]float64, int) {
 
 // Shutdown gracefully drains the server: stop admitting, flush the queue,
 // answer everything in flight, then return. It does not close the backend —
-// the owner does that once Shutdown returns (so late pipeline flights still
-// complete). Idempotent; ctx bounds the wait.
+// the owner does that once Shutdown returns, when the batcher's last Infer
+// has returned. Idempotent; ctx bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.admitMu.Lock()
@@ -410,8 +420,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var in struct {
 		Input []float64 `json:"input"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if err := decodeBody(w, req, int64(s.sample)*maxJSONFloatBytes+bodySlack, &in); err != nil {
 		return
 	}
 	if len(in.Input) != s.sample {
@@ -462,7 +471,10 @@ func (s *Server) handleSwap(w http.ResponseWriter, req *http.Request) {
 	var in struct {
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil || in.Path == "" {
+	if err := decodeBody(w, req, maxSwapBody, &in); err != nil {
+		return
+	}
+	if in.Path == "" {
 		http.Error(w, "bad request: want {\"path\":...}", http.StatusBadRequest)
 		return
 	}
@@ -480,6 +492,21 @@ func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, s.Stats())
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// failure it has already answered: 413 for an oversized body, 400 for
+// malformed JSON.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

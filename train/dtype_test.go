@@ -113,12 +113,12 @@ func TestServerF32ServesAndSwaps(t *testing.T) {
 	}
 	tr.Close()
 
-	s64, err := train.NewServer(build, train.ServerConfig{Engine: "direct", Checkpoint: ckpt})
+	s64, err := train.NewServer(build, train.ServerConfig{Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s64.Close()
-	s32, err := train.NewServer(build, train.ServerConfig{Engine: "direct", Checkpoint: ckpt, DType: tensor.F32})
+	s32, err := train.NewServer(build, train.ServerConfig{Checkpoint: ckpt, DType: tensor.F32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,11 @@ import (
 
 // ServerConfig configures NewServer.
 type ServerConfig struct {
-	// Engine selects the inference engine kind from the registry:
-	// "pipelined" (default, goroutine per stage) or "direct" (serialized
-	// in-caller forward, the bit-exactness oracle).
-	Engine string
-	// Replicas is the number of pipeline replicas sharing the weight set
-	// (default 1).
+	// Replicas is the number of network replicas sharing the weight set
+	// (default 1). Each replica serves one request at a time.
 	Replicas int
-	// KernelWorkers is the total kernel-worker budget, split across replicas
-	// and stages like the training engines.
+	// KernelWorkers is the total kernel-worker budget, split across
+	// replicas.
 	KernelWorkers int
 	// Unpooled disables arena pooling (reference mode).
 	Unpooled bool
@@ -40,9 +36,9 @@ type ServerConfig struct {
 	// server accepts requests.
 	Checkpoint string
 	// Obs, when non-nil, attaches the metrics bus to the inference engine:
-	// per-stage queue depths and lifetime completion counters stream onto it
-	// (see train.WithObserver for the training-side equivalent). The caller
-	// owns the bus.
+	// its lifetime completion counters stream onto it (see
+	// train.WithObserver for the training-side equivalent). The caller owns
+	// the bus.
 	Obs *obs.Bus
 	// DType selects the serving dtype: tensor.F64 (zero value, the bit-exact
 	// oracle) or tensor.F32 (SIMD kernel path). Checkpoints stay canonical
@@ -55,7 +51,7 @@ type ServerConfig struct {
 
 // Server is the forward-only serving facade over a Builder.
 type Server struct {
-	eng core.InferEngine
+	eng *core.InferEngine
 	// loader is a private network used only to decode checkpoints into; it
 	// is never installed into the engine, so restoring into it cannot
 	// corrupt the weight views live requests are reading.
@@ -105,7 +101,7 @@ func NewServer(build Builder, cfg ServerConfig) (*Server, error) {
 	// f64 value through Param.SetData, so CaptureWeights publishes f32 sets
 	// directly.
 	loader.ConvertTo(cfg.DType)
-	eng, err := core.NewInferEngine(cfg.Engine, nets, core.InferConfig{
+	eng, err := core.NewInferEngine(nets, core.InferConfig{
 		Workers:  cfg.KernelWorkers,
 		Unpooled: cfg.Unpooled,
 		Obs:      cfg.Obs,
