@@ -1,6 +1,6 @@
 // Command serve runs the inference tier: the forward-only inference engine
 // (core.InferEngine via the train.Server facade) behind the HTTP API in
-// internal/serve — bounded admission, deadline-aware dynamic micro-batching,
+// internal/serve — bounded admission, dispatch-when-idle micro-batching,
 // hot checkpoint swap, graceful drain on SIGINT/SIGTERM.
 //
 // Usage:
@@ -13,8 +13,7 @@
 //	-ckpt path          checkpoint to load at startup (any version v1–v3)
 //	-replicas 1         network replicas sharing the weight set
 //	-kernel-workers 0   total kernel-worker budget
-//	-batch 8            max coalesced micro-batch size
-//	-window 2ms         per-request batching deadline budget
+//	-batch 8            max micro-batch size (coalesced while a batch runs)
 //	-queue 64           admission queue capacity
 //	-seed 1             builder seed (initial weights until a swap)
 //	-dtype f64          serving dtype: f64 (bit-exact oracle) or f32 (SIMD
@@ -84,14 +83,13 @@ func main() {
 	replicas := flag.Int("replicas", 1, "network replicas")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-worker budget")
 	batch := flag.Int("batch", 8, "max coalesced micro-batch size")
-	window := flag.Duration("window", 2*time.Millisecond, "batching deadline budget")
 	queue := flag.Int("queue", 64, "admission queue capacity")
 	seed := flag.Int64("seed", 1, "builder seed")
 	dtype := flag.String("dtype", "f64", "serving dtype: f64 (bit-exact oracle) or f32 (SIMD kernels)")
 	linPath := flag.String("lineage", "", "record serve lineage to this JSON file")
 	flag.Parse()
 
-	if err := run(*addr, *model, *ckpt, *dtype, *linPath, *replicas, *kernelWorkers, *batch, *window, *queue, *seed); err != nil {
+	if err := run(*addr, *model, *ckpt, *dtype, *linPath, *replicas, *kernelWorkers, *batch, *queue, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -130,7 +128,7 @@ func recordLineage(linPath, ckpt, model, addr string) error {
 	return g.Write(linPath)
 }
 
-func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batch int, window time.Duration, queue int, seed int64) error {
+func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batch, queue int, seed int64) error {
 	spec, err := modelFor(model)
 	if err != nil {
 		return err
@@ -165,12 +163,11 @@ func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batc
 	}
 
 	srv, err := serve.New(serve.Config{
-		Backend:     backend,
-		InputShape:  spec.shape,
-		MaxBatch:    batch,
-		BatchWindow: window,
-		QueueCap:    queue,
-		Bus:         bus,
+		Backend:    backend,
+		InputShape: spec.shape,
+		MaxBatch:   batch,
+		QueueCap:   queue,
+		Bus:        bus,
 	})
 	if err != nil {
 		return err
@@ -184,8 +181,7 @@ func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batc
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("serve: listening on %s (model=%s replicas=%d batch=%d window=%s)\n",
-		addr, model, replicas, batch, window)
+	fmt.Printf("serve: listening on %s (model=%s replicas=%d batch=%d)\n", addr, model, replicas, batch)
 
 	select {
 	case err := <-errCh:

@@ -91,7 +91,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // check: after a request burst, the /metrics fold agrees with the serving
 // tier's own Stats() counters and carries the shared engine's events.
 func TestMetricsSnapshotMatchesStats(t *testing.T) {
-	s, _ := newObsServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, _ := newObsServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -142,7 +142,7 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 // TestEventsStreamDeliversLiveEvents opens the SSE stream, drives load, and
 // requires at least one well-formed event frame mid-load.
 func TestEventsStreamDeliversLiveEvents(t *testing.T) {
-	s, _ := newObsServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, _ := newObsServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -187,7 +187,7 @@ func TestEventsStreamDeliversLiveEvents(t *testing.T) {
 // serving tier: a subscriber that never drains (an arbitrarily slow SSE
 // client) loses its own oldest events while every request still completes.
 func TestSlowSubscriberNeverBlocksBatcher(t *testing.T) {
-	s, bus := newObsServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, bus := newObsServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

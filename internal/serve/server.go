@@ -1,17 +1,15 @@
 // Package serve is the HTTP serving tier over the forward-only inference
-// facade (train.Server): a bounded admission queue, deadline-aware dynamic
+// facade (train.Server): a bounded admission queue, dispatch-when-idle
 // micro-batching, hot checkpoint swap, and graceful zero-drop drain
 // (DESIGN.md §12).
 //
-// Requests are admitted one sample at a time; a single batcher goroutine
-// coalesces whatever is queued — up to MaxBatch samples or until the oldest
-// request's deadline budget (arrival + BatchWindow) expires — into one
-// [B, ...] tensor, so one pipeline pass (and one tensor.Parallel kernel
-// fan-out) amortizes across B requests. Under light load the window expires
-// with a single sample (latency-bound); under heavy load batches fill before
-// the deadline (throughput-bound). Every request is answered exactly once:
-// shutdown stops admission first, then flushes the queue, so draining never
-// drops an in-flight request.
+// Requests are admitted one sample at a time. A single batcher goroutine
+// blocks for the first queued request, adds whatever else is already queued
+// (up to MaxBatch) and runs the batch at once as one [B, ...] tensor. A lone
+// request never waits for company; requests arriving while a batch runs
+// coalesce into the next, so batches grow with load without a timer. Every
+// request is answered exactly once: shutdown stops admission first, then
+// flushes the queue, so draining never drops an in-flight request.
 package serve
 
 import (
@@ -41,10 +39,6 @@ type Config struct {
 	// MaxBatch caps how many queued requests coalesce into one pipeline
 	// pass (default 8).
 	MaxBatch int
-	// BatchWindow is each request's deadline budget: a batch is dispatched
-	// when it fills or when the oldest queued request has waited this long
-	// (default 2ms).
-	BatchWindow time.Duration
 	// QueueCap bounds the admission queue; requests beyond it are rejected
 	// with 503 rather than queued without bound (default 64).
 	QueueCap int
@@ -139,10 +133,20 @@ type Server struct {
 	failed       atomic.Int64
 	batches      atomic.Int64
 	batchSamples atomic.Int64
+	lastBatchNs  atomic.Int64
 }
 
 // New validates cfg, applies defaults, and starts the batcher.
 func New(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err == nil {
+		s.start()
+	}
+	return s, err
+}
+
+// newServer is New without starting the batcher.
+func newServer(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("serve: nil Backend")
 	}
@@ -158,9 +162,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 8
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 2 * time.Millisecond
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
@@ -180,9 +181,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.agg = obs.NewAggregator(s.bus)
 	s.prod = s.bus.Producer(512)
+	return s, nil
+}
+
+// start launches the batcher.
+func (s *Server) start() {
 	s.wg.Add(1)
 	go s.batchLoop()
-	return s, nil
 }
 
 // enqueue admits one request, reporting false when draining or the queue is
@@ -205,69 +210,48 @@ func (s *Server) enqueue(r *request) bool {
 	}
 }
 
-// batchLoop is the single consumer of the admission queue: it coalesces
-// requests into deadline-bounded batches and answers each one.
+// batchLoop is the single consumer of the admission queue. It blocks for
+// the first request, adds whatever else is already queued, and runs the
+// batch at once; requests that arrive while it runs coalesce into the next.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
 		select {
 		case r := <-s.queue:
-			batch = append(batch[:0], r)
-			s.fill(&batch)
-			s.runBatch(batch)
+			s.runBatch(s.collect(append(batch[:0], r)))
 		case <-s.quit:
 			// Drain: admission is already fenced off, so the queue can
 			// only shrink. Flush every remaining request, then exit.
-			for {
-				batch = batch[:0]
-				for len(batch) < s.cfg.MaxBatch {
-					select {
-					case r := <-s.queue:
-						batch = append(batch, r)
-					default:
-						goto flushed
-					}
-				}
-			flushed:
-				if len(batch) == 0 {
-					return
-				}
-				s.runBatch(batch)
+			for len(s.queue) > 0 {
+				s.runBatch(s.collect(batch[:0]))
 			}
+			return
 		}
 	}
 }
 
-// fill coalesces queued requests into batch until it holds MaxBatch samples
-// or the oldest request's deadline budget expires. During shutdown the
-// window is cut short — the drain loop flushes whatever remains.
-func (s *Server) fill(batch *[]*request) {
-	if len(*batch) >= s.cfg.MaxBatch {
-		return
-	}
-	d := s.cfg.BatchWindow - time.Since((*batch)[0].enq)
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	for len(*batch) < s.cfg.MaxBatch {
+// collect appends to batch, without blocking, the requests already queued,
+// until batch holds MaxBatch of them or the queue is empty.
+func (s *Server) collect(batch []*request) []*request {
+	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case r := <-s.queue:
-			*batch = append(*batch, r)
-		case <-t.C:
-			return
-		case <-s.quit:
-			return
+			batch = append(batch, r)
+		default:
+			return batch
 		}
 	}
+	return batch
 }
 
 // runBatch packs the batch into one [B, ...] tensor, runs a single pipeline
 // pass, and answers every request. Responses go to buffered channels, so an
-// abandoned client never blocks the batcher.
+// abandoned client never blocks the batcher; a row with a non-finite logit
+// gets an error, never meaningless probabilities.
 func (s *Server) runBatch(batch []*request) {
+	start := time.Now()
+	defer func() { s.lastBatchNs.Store(int64(time.Since(start))) }()
 	s.batches.Add(1)
 	s.batchSamples.Add(int64(len(batch)))
 	s.prod.Emit(obs.Event{Kind: obs.KindBatch, Stage: -1, Count: int64(len(batch))})
@@ -293,14 +277,19 @@ func (s *Server) runBatch(batch []*request) {
 	}
 	for i, r := range batch {
 		row := logits[i*k : (i+1)*k]
+		if !finite(row) {
+			s.answer(r, response{err: errors.New("non-finite logits")})
+			continue
+		}
 		probs, class := softmax(row)
 		s.answer(r, response{class: class, probs: probs})
 	}
 }
 
-// answer delivers exactly one response and settles the request's counters.
+// answer settles the request's counters, then delivers exactly one
+// response, so Stats already counts a request whose client has its answer.
 func (s *Server) answer(r *request, resp response) {
-	r.resp <- resp
+	defer func() { r.resp <- resp }()
 	s.depth.Dec()
 	if resp.err != nil {
 		s.failed.Add(1)
@@ -310,6 +299,16 @@ func (s *Server) answer(r *request, resp response) {
 	ms := float64(time.Since(r.enq)) / float64(time.Millisecond)
 	s.latency.Observe(ms)
 	s.prod.Emit(obs.Event{Kind: obs.KindLatency, Stage: -1, Value: ms})
+}
+
+// finite reports whether every value of row is finite.
+func finite(row []float64) bool {
+	for _, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // softmax returns the row's probabilities and argmax, numerically stable.
@@ -448,19 +447,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request) {
 }
 
 // retryAfterSeconds estimates when a rejected client should retry: the
-// current queue depth takes about depth/MaxBatch batches to clear, each at
-// worst one BatchWindow apart, rounded up to whole seconds (the header's
-// unit) with a floor of 1 so clients never busy-retry. A drain-time
-// rejection uses the same estimate — the queue it reports is the backlog
-// the flush still has to answer.
+// current queue depth takes about depth/MaxBatch batches to clear, each as
+// long as the last measured batch, rounded up to whole seconds (the
+// header's unit) with a floor of 1 so clients never busy-retry. A
+// drain-time rejection uses the same estimate — the queue it reports is the
+// backlog the flush still has to answer.
 func (s *Server) retryAfterSeconds() int {
 	depth := s.depth.Level()
 	batches := (depth + int64(s.cfg.MaxBatch) - 1) / int64(s.cfg.MaxBatch)
-	secs := int(math.Ceil(time.Duration(batches * int64(s.cfg.BatchWindow)).Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
+	return max(1, int(math.Ceil(time.Duration(batches*s.lastBatchNs.Load()).Seconds())))
 }
 
 func (s *Server) handleSwap(w http.ResponseWriter, req *http.Request) {
@@ -509,9 +504,14 @@ func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, v any) er
 	return err
 }
 
+// writeJSON answers with v as JSON, or 500 when v does not encode (a NaN).
+// A failed write means the client is gone, so its error is dropped.
 func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/train"
 )
@@ -27,9 +29,19 @@ import (
 // with [8] inputs and 4 classes.
 func testBuilder(seed int64) *nn.Network { return models.DeepMLP(8, 12, 3, 4, seed) }
 
-// newTestServer wires a fresh backend and serving tier; the cleanup drains
-// the serving tier before closing the engine, mirroring cmd/serve.
+// newTestServer wires a fresh backend and a started serving tier; the
+// cleanup drains the serving tier before closing the engine, mirroring
+// cmd/serve.
 func newTestServer(t *testing.T, cfg Config) (*Server, *train.Server) {
+	t.Helper()
+	s, backend := buildTestServer(t, cfg)
+	s.start()
+	return s, backend
+}
+
+// buildTestServer is newTestServer without starting the batcher, so a test
+// can queue requests before the batcher first looks.
+func buildTestServer(t *testing.T, cfg Config) (*Server, *train.Server) {
 	t.Helper()
 	backend, err := train.NewServer(testBuilder, train.ServerConfig{Seed: 1})
 	if err != nil {
@@ -37,7 +49,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *train.Server) {
 	}
 	cfg.Backend = backend
 	cfg.InputShape = []int{8}
-	s, err := New(cfg)
+	s, err := newServer(cfg)
 	if err != nil {
 		backend.Close()
 		t.Fatal(err)
@@ -183,50 +195,100 @@ func TestOversizedBodyRejected(t *testing.T) {
 
 }
 
-// TestBatchingCoalesces floods the server with concurrent requests and
-// checks the batcher actually coalesces them: far fewer pipeline passes than
-// requests, every request answered.
+// TestBatchingCoalesces pins the dispatch-when-idle contract: requests
+// already queued when the batcher looks coalesce, MaxBatch at a time. With
+// 2×MaxBatch+3 requests queued before the batcher starts, it runs exactly
+// three batches — 8, 8 and 3 — and answers every request.
 func TestBatchingCoalesces(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 50 * time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	const maxBatch = 8
+	s, _ := buildTestServer(t, Config{MaxBatch: maxBatch})
+	var mu sync.Mutex
+	var sizes []int64
+	sub := s.bus.SubscribeFunc(func(ev obs.Event) {
+		if ev.Kind == obs.KindBatch {
+			mu.Lock()
+			sizes = append(sizes, ev.Count)
+			mu.Unlock()
+		}
+	})
+	defer sub.Close()
 
-	const n = 24
-	in := testInput(9)
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", predictBody(t, in))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}()
+	const n = 2*maxBatch + 3
+	reqs := make([]*request, n)
+	for i := range reqs {
+		reqs[i] = &request{x: testInput(int64(i)), resp: make(chan response, 1), enq: time.Now()}
+		if !s.enqueue(reqs[i]) {
+			t.Fatalf("request %d rejected", i)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	s.start()
+	for i, r := range reqs {
+		if resp := <-r.resp; resp.err != nil {
+			t.Fatalf("request %d: %v", i, resp.err)
+		}
+	}
+	// Shutdown closes the server's own bus after a final sweep, so every
+	// batch event has reached the subscriber when it returns.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
+
 	st := s.Stats()
 	if st.Accepted != n || st.Completed != n || st.Failed != 0 {
 		t.Fatalf("stats %+v, want %d accepted and completed", st, n)
+	}
+	mu.Lock()
+	got := fmt.Sprint(sizes)
+	mu.Unlock()
+	if want := fmt.Sprint([]int64{maxBatch, maxBatch, 3}); got != want {
+		t.Fatalf("batch sizes %s, want %s", got, want)
 	}
 	if st.Batches >= n {
 		t.Fatalf("batcher ran %d passes for %d requests — no coalescing", st.Batches, n)
 	}
 	if st.MeanBatch <= 1 {
-		t.Fatalf("mean batch %v, want > 1 under concurrent load", st.MeanBatch)
+		t.Fatalf("mean batch %v, want > 1 for a queued backlog", st.MeanBatch)
 	}
 	if st.P50Ms <= 0 || st.P99Ms < st.P50Ms {
 		t.Fatalf("latency quantiles p50=%v p99=%v malformed", st.P50Ms, st.P99Ms)
+	}
+}
+
+// TestCollectTakesOnlyQueued unit-tests the batcher's collect step: with k
+// requests queued it returns min(k, MaxBatch) of them in arrival order,
+// never blocks on an empty queue, and leaves the rest queued.
+func TestCollectTakesOnlyQueued(t *testing.T) {
+	const maxBatch = 8
+	for _, k := range []int{0, 1, 5, maxBatch, maxBatch + 3, 2*maxBatch + 3} {
+		s := &Server{cfg: Config{MaxBatch: maxBatch}, queue: make(chan *request, 32)}
+		queued := make([]*request, k)
+		for i := range queued {
+			queued[i] = &request{}
+			s.queue <- queued[i]
+		}
+		got := s.collect(nil)
+		want := min(k, maxBatch)
+		if len(got) != want {
+			t.Fatalf("k=%d: collected %d, want %d", k, len(got), want)
+		}
+		for i, r := range got {
+			if r != queued[i] {
+				t.Fatalf("k=%d: collected request %d out of order", k, i)
+			}
+		}
+		if left := len(s.queue); left != k-want {
+			t.Fatalf("k=%d: %d left queued, want %d", k, left, k-want)
+		}
+	}
+	// A batch that already holds a request only tops up to MaxBatch.
+	s := &Server{cfg: Config{MaxBatch: maxBatch}, queue: make(chan *request, 32)}
+	for i := 0; i < maxBatch; i++ {
+		s.queue <- &request{}
+	}
+	if got := s.collect([]*request{{}}); len(got) != maxBatch || len(s.queue) != 1 {
+		t.Fatalf("top-up: batch %d with %d left queued, want %d and 1", len(got), len(s.queue), maxBatch)
 	}
 }
 
@@ -260,7 +322,7 @@ func TestAdmissionBounds(t *testing.T) {
 // must have been answered (accepted == completed, nothing failed) while
 // everything else was cleanly rejected with 503.
 func TestDrainNoDrop(t *testing.T) {
-	s, backend := newTestServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, backend := newTestServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -323,7 +385,7 @@ func TestDrainNoDrop(t *testing.T) {
 // clients stream predictions: no request fails, the displaced weights drain,
 // and post-swap predictions are bit-identical to the new weights' oracle.
 func TestSwapEndpointUnderLoad(t *testing.T) {
-	s, backend := newTestServer(t, Config{MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, backend := newTestServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -429,15 +491,17 @@ func TestSwapEndpointUnderLoad(t *testing.T) {
 }
 
 // TestRejectSetsRetryAfter pins the 503 contract: a rejected request carries
-// a Retry-After header derived from the live queue depth — the backlog's
-// worst-case clearing time in whole seconds, never below one.
+// a Retry-After header derived from the live queue depth and the last
+// measured batch time — the backlog's clearing time in whole seconds, never
+// below one.
 func TestRejectSetsRetryAfter(t *testing.T) {
 	s := &Server{
-		cfg:    Config{QueueCap: 1, MaxBatch: 2, BatchWindow: 2 * time.Second},
+		cfg:    Config{QueueCap: 1, MaxBatch: 2},
 		sample: 8,
 		queue:  make(chan *request, 1),
 		depth:  &metrics.Gauge{},
 	}
+	s.lastBatchNs.Store(int64(2 * time.Second))
 	post := func() *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/v1/predict", predictBody(t, testInput(3)))
@@ -445,7 +509,7 @@ func TestRejectSetsRetryAfter(t *testing.T) {
 		return w
 	}
 	// Fill the queue, then pile up depth as if five requests were backed up:
-	// ceil(5/2) batches × 2s window = 6s.
+	// ceil(5/2) batches × 2s per batch = 6s.
 	if !s.enqueue(&request{resp: make(chan response, 1), enq: time.Now()}) {
 		t.Fatal("first enqueue rejected")
 	}
@@ -457,7 +521,7 @@ func TestRejectSetsRetryAfter(t *testing.T) {
 		t.Fatalf("status %d, want 503", w.Code)
 	}
 	if got := w.Header().Get("Retry-After"); got != "6" {
-		t.Fatalf("Retry-After %q, want \"6\" (5 deep, 2-deep batches, 2s window)", got)
+		t.Fatalf("Retry-After %q, want \"6\" (5 deep, 2-deep batches, 2s per batch)", got)
 	}
 	// The floor: an empty-depth rejection (draining) still says at least 1s.
 	s.draining = true
@@ -466,5 +530,42 @@ func TestRejectSetsRetryAfter(t *testing.T) {
 	}
 	if got := post().Header().Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After %q, want \"1\" floor", got)
+	}
+}
+
+// TestNonFiniteLogitsFail pins "no silent wrong answers": weights with a
+// NaN head bias make the served logits non-finite, and the request must
+// fail with a 500 and count as failed, never come back as a 200.
+func TestNonFiniteLogitsFail(t *testing.T) {
+	s, backend := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	st, err := checkpoint.Capture(testBuilder(1), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Weights["head.b"][0] = math.NaN()
+	if _, err := backend.SwapState(st); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", predictBody(t, testInput(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("NaN weights: status %d (%q), want 500", resp.StatusCode, body)
+	}
+	if got := s.Stats(); got.Completed != 0 || got.Failed != 1 {
+		t.Fatalf("stats %+v, want 0 completed and 1 failed", got)
+	}
+
+	// A value JSON cannot encode is a 500 too, not a 200 with an empty body.
+	w := httptest.NewRecorder()
+	writeJSON(w, map[string]any{"x": math.NaN()})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("writeJSON(NaN): status %d, want 500", w.Code)
 	}
 }
